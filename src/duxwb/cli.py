@@ -41,8 +41,11 @@ def _def_config(args: argparse.Namespace):
 
 
 def _add_def_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--color-repr", default="rgb_chroma", choices=["rgb", "rg_chroma", "rgb_chroma"])
-    p.add_argument("--mapping", default="linear3x3", choices=["linear3x3", "affine3x4", "homography3x3"])
+    from .def_feature import COLOR_REPRS, MAPPINGS, DefConfig
+
+    defaults = DefConfig()
+    p.add_argument("--color-repr", default=defaults.color_repr, choices=COLOR_REPRS)
+    p.add_argument("--mapping", default=defaults.mapping, choices=MAPPINGS)
     p.add_argument("--no-cov", action="store_true", help="drop the covariance block of the feature")
 
 
@@ -109,7 +112,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         lr=args.lr,
         seed=args.seed,
-        augment=args.augment,
         n_biases=args.n,
         hist_bins=args.hist_bins,
         variant=args.hist_input,
@@ -247,6 +249,11 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
 # ============================================================
 
 def build_parser() -> argparse.ArgumentParser:
+    # numpy-backed modules; main() caps the thread pools before this runs
+    from .eccc import VARIANTS
+    from .training import TrainConfig
+
+    train_defaults = TrainConfig()
     parser = argparse.ArgumentParser(prog="duxwb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -279,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.0, help="0 = model default (1e-3 / 5e-3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--augment", action="store_true")
-    p.add_argument("--n", type=int, default=20, help="bias bank size (eccc)")
-    p.add_argument("--hist-bins", type=int, default=64)
-    p.add_argument("--hist-input", default="both", choices=["both", "avg", "short", "long"])
+    p.add_argument("--n", type=int, default=train_defaults.n_biases, help="bias bank size (eccc)")
+    p.add_argument("--hist-bins", type=int, default=train_defaults.hist_bins)
+    p.add_argument("--hist-input", default=train_defaults.variant, choices=VARIANTS)
     p.add_argument("--no-def", action="store_true", help="eccc variant without the feature path")
     p.add_argument("--no-bias-init", action="store_true")
     p.add_argument("--log", default=None, help="loss CSV path (default: <out>.losses.csv)")

@@ -2,14 +2,16 @@
 
 The estimator cross-correlates a full-resolution filter with an equally sized
 histogram under zero padding, keeping the output the same size. That path runs
-through FFTs; its adjoint (gradient w.r.t. the kernel) reuses the same padded
-transforms, and because histograms are fixed across a training run their
-transforms can be computed once and reused every epoch. The tiny 3x3 Sobel
-penalties are computed by explicit shifts.
+through FFTs: fft_image transforms the histograms once (they are fixed across a
+training run, so the transforms are reused every epoch) and
+corr_same_multi_fft finishes the channel-summed correlation. Its adjoint
+(gradient w.r.t. the kernel) reuses the same padded transforms:
+grad_kernel_from_products(fft_image(img) * fft_flipped(dout)). The tiny 3x3
+Sobel penalties are computed by explicit shifts.
 
 Conventions, with o = (K-1)//2 for a K x K kernel over an N x N image:
-    corr_same(img, ker)[i, j]  = sum_{a,b} ker[a, b] * img[i + a - o, j + b - o]
-    corr_valid(img, ker)[i, j] = sum_{a,b} ker[a, b] * img[i + a, j + b]
+    same-size:  out[i, j] = sum_{a,b} ker[a, b] * img[i + a - o, j + b - o]
+    valid:      out[i, j] = sum_{a,b} ker[a, b] * img[i + a, j + b]
 All functions broadcast over leading batch dimensions.
 """
 
@@ -32,23 +34,13 @@ def fft_image(img: np.ndarray, size: int) -> np.ndarray:
     return sfft.rfft2(img, (size, size))
 
 
-def corr_same_fft(f_img: np.ndarray, ker: np.ndarray, n: int) -> np.ndarray:
-    """corr_same on a pretransformed image; channel axes must already match."""
-    k = ker.shape[-1]
-    size = fft_size(n, k)
-    f_ker = sfft.rfft2(ker[..., ::-1, ::-1], (size, size))
-    full = sfft.irfft2(f_img * f_ker, (size, size))
-    start = k - 1 - (k - 1) // 2
-    return full[..., start:start + n, start:start + n]
-
-
 def corr_same_multi_fft(
     f_hists: np.ndarray,
     kernels: np.ndarray,
     n: int,
     f_kernels: np.ndarray = None,
 ) -> np.ndarray:
-    """Channel-summed corr_same: f_hists (..., J, S, Sc) against kernels (J, K, K).
+    """Channel-summed same-size correlation: f_hists (..., J, S, Sc) against kernels (J, K, K).
 
     When the cached transforms are complex64 the whole path runs in single
     precision (training tolerates the ~1e-6 rounding; oracle checks use the
@@ -80,33 +72,6 @@ def grad_kernel_from_products(prod: np.ndarray, n: int, ksize: int) -> np.ndarra
     full = sfft.irfft2(prod, (size, size))
     start = n - 1 - (ksize - 1) // 2
     return full[start:start + ksize, start:start + ksize]
-
-
-def corr_same_grad_kernel_fft(f_img: np.ndarray, dout: np.ndarray, n: int, ksize: int) -> np.ndarray:
-    """Adjoint of corr_same w.r.t. the kernel, from a pretransformed image.
-
-    grad[a, b] = sum_{i,j} dout[i, j] * img[i + a - o, j + b - o]; leading
-    batch dimensions are summed in the frequency domain.
-    """
-    return grad_kernel_from_products(f_img * fft_flipped(dout, fft_size(n, ksize)), n, ksize)
-
-
-def corr_same(img: np.ndarray, ker: np.ndarray) -> np.ndarray:
-    """Zero-padded same-size cross-correlation (leading dims broadcast)."""
-    n = img.shape[-1]
-    return corr_same_fft(fft_image(img, fft_size(n, ker.shape[-1])), ker, n)
-
-
-def corr_same_multi(hists: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Sum over channel j of corr_same(hists[..., j], kernels[j])."""
-    n = hists.shape[-1]
-    return corr_same_multi_fft(fft_image(hists, fft_size(n, kernels.shape[-1])), kernels, n)
-
-
-def corr_same_grad_kernel(img: np.ndarray, dout: np.ndarray, ksize: int) -> np.ndarray:
-    """Adjoint of corr_same w.r.t. the kernel; batched inputs are summed."""
-    n = img.shape[-1]
-    return corr_same_grad_kernel_fft(fft_image(img, fft_size(n, ksize)), dout, n, ksize)
 
 
 def corr_valid_3x3(img: np.ndarray, ker: np.ndarray) -> np.ndarray:

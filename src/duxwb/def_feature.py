@@ -49,10 +49,6 @@ class DefConfig:
     include_covariance: bool = True
     # short_to_long fits C mapping the short frame onto the long frame.
     map_direction: str = "short_to_long"
-    # Exclude pixels saturated in either frame from the C_c / C_v fit. Off by
-    # default: clipping asymmetry is the very signal the feature encodes.
-    mask_saturated: bool = False
-    saturation_level: float = 1.0 - 1e-6
     # Append centroid difference and scale to the affine feature (16 entries).
     tm_extended: bool = False
 
@@ -240,28 +236,15 @@ def compute_def(pair: DualExposurePair, cfg: DefConfig | None = None) -> DefVect
     else:
         src_img, tgt_img = pair.long, pair.short
 
-    mask = None
-    if cfg.mask_saturated:
-        lm = pair.long.as_matrix()
-        sm = pair.short.as_matrix()
-        keep = np.all(lm < cfg.saturation_level, axis=0) & np.all(sm < cfg.saturation_level, axis=0)
-        if np.count_nonzero(keep) >= 16:
-            mask = keep
-
-    degenerate = False
     if cfg.mapping == "linear3x3":
         src = _represent(src_img, cfg)
         tgt = _represent(tgt_img, cfg)
-        if mask is not None:
-            src, tgt = src[:, mask], tgt[:, mask]
         res: PinvResult = pinv_map(src, tgt)
         entries = res.matrix.reshape(-1)
         degenerate = res.degenerate
     elif cfg.mapping == "affine3x4":
         src = _represent(src_img, cfg)
         tgt = _represent(tgt_img, cfg)
-        if mask is not None:
-            src, tgt = src[:, mask], tgt[:, mask]
         aff = affine_map(src, tgt)
         entries = aff.matrix.reshape(-1)
         degenerate = aff.degenerate
@@ -271,17 +254,12 @@ def compute_def(pair: DualExposurePair, cfg: DefConfig | None = None) -> DefVect
     else:  # homography3x3 always works on (r, g, 1) chroma rows
         src = _rg1_rows(src_img, cfg)
         tgt = _rg1_rows(tgt_img, cfg)
-        if mask is not None:
-            src, tgt = src[:, mask], tgt[:, mask]
         hom = homography_map(src, tgt)
         entries = hom.matrix.reshape(-1)
         degenerate = hom.degenerate
 
     if cfg.include_covariance:
-        ratios = ratio_image(pair, cfg.eps_ratio)
-        if mask is not None:
-            ratios = ratios[:, mask]
-        cov = covariance3(ratios)
+        cov = covariance3(ratio_image(pair, cfg.eps_ratio))
         entries = np.concatenate([entries, cov[_TRIU_ROWS, _TRIU_COLS]])
 
     return DefVector(values=entries, degenerate=degenerate)

@@ -15,6 +15,7 @@ analytic and validated against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -37,14 +38,17 @@ LAMBDA_BIAS = 0.01
 LAMBDA_FILTER = 0.02
 UPSAMPLE_FACTOR = 4
 
-_interp_cache: dict = {}
 
-
+@lru_cache(maxsize=None)
 def _upsampler(bins: int) -> np.ndarray:
-    key = bins
-    if key not in _interp_cache:
-        _interp_cache[key] = interp_matrix(bins // UPSAMPLE_FACTOR, bins)
-    return _interp_cache[key]
+    """(bins, bins/4) bilinear interpolation matrix r: r @ x @ r.T upsamples a
+    stack of quarter-resolution maps, r.T @ y @ r is its adjoint."""
+    return interp_matrix(bins // UPSAMPLE_FACTOR, bins)
+
+
+def n_filters(variant: str) -> int:
+    """Learned filters for a histogram input variant: one per histogram."""
+    return 2 if variant == "both" else 1
 
 
 @dataclass
@@ -62,7 +66,7 @@ class EcccParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}")
-        expected = 2 if self.variant == "both" else 1
+        expected = n_filters(self.variant)
         if self.filters.shape[0] != expected:
             raise DomainError(f"variant {self.variant} needs {expected} filter(s)")
         if self.use_def and (self.biases is None or self.mlp is None):
@@ -109,8 +113,7 @@ def count_eccc_params(
 ) -> int:
     """Exact scalar parameter count for a configuration."""
     h4 = bins // UPSAMPLE_FACTOR
-    n_filters = 2 if variant == "both" else 1
-    total = n_filters * h4 * h4
+    total = n_filters(variant) * h4 * h4
     if use_def:
         total += n * h4 * h4 + mlp_count_params(def_dim, n)
     else:
@@ -133,8 +136,7 @@ def init_eccc(
 ) -> EcccParams:
     """Zero filters; bias bank zeroed unless an initialized bank is supplied."""
     h4 = bins // UPSAMPLE_FACTOR
-    n_filters = 2 if variant == "both" else 1
-    filters = np.zeros((n_filters, h4, h4))
+    filters = np.zeros((n_filters(variant), h4, h4))
     if use_def:
         bank = np.zeros((n, h4, h4)) if biases is None else np.asarray(biases, dtype=np.float64).copy()
         if bank.shape != (n, h4, h4):
@@ -173,7 +175,7 @@ def prepare_predictor(params: EcccParams) -> dict:
     filters and their padded transforms."""
     h = params.bins
     r = _upsampler(h)
-    f_up = np.stack([r @ f @ r.T for f in params.filters])
+    f_up = r @ params.filters @ r.T
     f_kernels = fft_flipped(f_up, fft_size(h, h))
     return {"f_up": f_up, "f_kernels": f_kernels}
 
@@ -207,7 +209,7 @@ def _forward_batch(
         f_up = prepared["f_up"]
         conv = corr_same_multi_fft(hists_fft, f_up, h, f_kernels=prepared["f_kernels"])
     else:
-        f_up = np.stack([r @ f @ r.T for f in params.filters])
+        f_up = r @ params.filters @ r.T
         conv = corr_same_multi_fft(hists_fft, f_up, h)
 
     cache = {"hists_fft": hists_fft, "f_up": f_up, "conv": conv, "batch": batch}
@@ -222,7 +224,7 @@ def _forward_batch(
         w = np.exp(logits_w)
         w /= w.sum(axis=1, keepdims=True)
         b_small = np.tensordot(w, params.biases, axes=(1, 0))
-        b_up = np.einsum("Mi,bik,Nk->bMN", r, b_small, r, optimize=True)
+        b_up = r @ b_small @ r.T
         cache.update({"w": w, "trace": trace, "b_small": b_small, "b_up": b_up})
     else:
         b_up = np.broadcast_to(params.full_bias, conv.shape).copy()
@@ -285,16 +287,16 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     else:
         dlogits_t = dlogits
     f_dlogits = fft_flipped(dlogits_t, fft_size(h, h))
-    dfilters = np.empty_like(params.filters)
-    for j in range(params.n_filters):
-        df_up = grad_kernel_from_products(cache["hists_fft"][:, j] * f_dlogits, h, h)
-        df_up += LAMBDA_FILTER * grad_f_pen[j]
-        dfilters[j] = r.T @ df_up @ r
-    grads["filters"] = dfilters
+    df_up = np.stack([
+        grad_kernel_from_products(cache["hists_fft"][:, j] * f_dlogits, h, h)
+        for j in range(params.n_filters)
+    ])
+    df_up += LAMBDA_FILTER * grad_f_pen
+    grads["filters"] = r.T @ df_up @ r
 
     db_up = dlogits + (LAMBDA_BIAS * weight)[:, None, None] * grad_b_up_pen
     if params.use_def:
-        db_small = np.einsum("Mi,bMN,Nk->bik", r, db_up, r, optimize=True)
+        db_small = r.T @ db_up @ r
         grads["biases"] = np.einsum("bi,bjk->ijk", cache["w"], db_small)
         dw = np.einsum("njk,bjk->bn", params.biases, db_small)
         w = cache["w"]
@@ -319,10 +321,11 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
 # ============================================================
 
 def eccc_forward_from_hists(params: EcccParams, hists: np.ndarray, feature=None, prepared=None):
-    """Estimate from a prebuilt (J, h, h) unit-mass histogram stack."""
+    """Estimate from a prebuilt (J, h, h) unit-mass histogram stack and, with
+    the feature path on, a DefVector or its values."""
     feat = None
-    if params.use_def:
-        feat = _feature_values(feature)[np.newaxis, :]
+    if params.use_def and feature is not None:
+        feat = np.asarray(getattr(feature, "values", feature), dtype=np.float64).reshape(1, -1)
     cache = _forward_batch(
         params, np.asarray(hists, dtype=np.float64)[np.newaxis], feat, prepared=prepared
     )
@@ -330,31 +333,3 @@ def eccc_forward_from_hists(params: EcccParams, hists: np.ndarray, feature=None,
     ill = Illuminant.from_array(direction / np.linalg.norm(direction))
     return ill, cache["p"][0]
 
-
-def eccc_forward(params: EcccParams, pair: DualExposurePair, feature=None):
-    """Estimate the illuminant of a pair; returns (illuminant, probability map)."""
-    hists = hists_for_pair(pair, params.variant, params.bins)
-    return eccc_forward_from_hists(params, hists, feature)
-
-
-def eccc_backward_from_hists(params: EcccParams, hists: np.ndarray, feature, gt):
-    feat = None
-    if params.use_def:
-        feat = _feature_values(feature)[np.newaxis, :]
-    cache = _forward_batch(params, np.asarray(hists, dtype=np.float64)[np.newaxis], feat)
-    gt_vec = gt.as_array() if isinstance(gt, Illuminant) else np.asarray(gt, dtype=np.float64)
-    loss, grads, parts = _backward_batch(params, cache, gt_vec[np.newaxis])
-    return loss, grads, parts
-
-
-def eccc_backward(params: EcccParams, pair: DualExposurePair, feature, gt):
-    """Loss (degrees + smoothness) and analytic gradients for one pair."""
-    hists = hists_for_pair(pair, params.variant, params.bins)
-    return eccc_backward_from_hists(params, hists, feature, gt)
-
-
-def _feature_values(feature) -> np.ndarray:
-    if feature is None:
-        raise DomainError("this model requires a feature vector")
-    values = getattr(feature, "values", feature)
-    return np.asarray(values, dtype=np.float64).reshape(-1)

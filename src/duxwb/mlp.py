@@ -193,14 +193,6 @@ def angular_loss_batch(raw: np.ndarray, gts: np.ndarray):
     return loss, draw, valid
 
 
-def angular_grad_vec(direction: np.ndarray, gt: np.ndarray):
-    """Angular error of one direction vector and its gradient."""
-    loss, draw, valid = angular_loss_batch(direction, gt)
-    if not valid[0]:
-        raise DegenerateOutputError("direction vector has vanishing norm")
-    return float(loss[0]), draw[0]
-
-
 # ============================================================
 # EMLP: the illuminant-estimating specialization
 # ============================================================

@@ -3,16 +3,23 @@ trained under, and move the bundle through the shared checkpoint format."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import DualExposurePair, Illuminant
 from .def_feature import DefConfig, compute_def
-from .eccc import EcccParams, eccc_forward_from_hists, hists_for_pair, prepare_predictor
+from .eccc import (
+    UPSAMPLE_FACTOR,
+    EcccParams,
+    eccc_forward_from_hists,
+    hists_for_pair,
+    n_filters,
+    prepare_predictor,
+)
 from .errors import DataError
 from .mlp import MlpParams, emlp_forward
-from .training import ensemble
+from .training import TrainConfig, ensemble
 
 
 @dataclass
@@ -37,28 +44,29 @@ class ModelBundle:
         return ill
 
 
+_DEF_PREFIX = "def_"
+
+
 def _def_meta(cfg: DefConfig) -> dict:
-    return {
-        "def_color_repr": cfg.color_repr,
-        "def_mapping": cfg.mapping,
-        "def_eps_ratio": cfg.eps_ratio,
-        "def_eps_chroma": cfg.eps_chroma,
-        "def_include_covariance": cfg.include_covariance,
-        "def_map_direction": cfg.map_direction,
-        "def_tm_extended": cfg.tm_extended,
-    }
+    return {_DEF_PREFIX + f.name: getattr(cfg, f.name) for f in fields(DefConfig)}
 
 
 def _def_from_meta(meta: dict) -> DefConfig:
-    return DefConfig(
-        color_repr=meta.get("def_color_repr", "rgb_chroma"),
-        mapping=meta.get("def_mapping", "linear3x3"),
-        eps_ratio=meta.get("def_eps_ratio", 1e-6),
-        eps_chroma=meta.get("def_eps_chroma", 1e-6),
-        include_covariance=meta.get("def_include_covariance", True),
-        map_direction=meta.get("def_map_direction", "short_to_long"),
-        tm_extended=meta.get("def_tm_extended", False),
-    )
+    """DefConfig from checkpoint metadata; a missing key keeps the field default."""
+    names = {f.name for f in fields(DefConfig)}
+    values = {k[len(_DEF_PREFIX):]: v for k, v in meta.items() if k.startswith(_DEF_PREFIX)}
+    unknown = sorted(set(values) - names)
+    if unknown:
+        raise DataError("unknown feature settings in checkpoint: " + ", ".join(_DEF_PREFIX + k for k in unknown))
+    return DefConfig(**values)
+
+
+def _check_shapes(tensors: dict, expected: dict) -> None:
+    for name, shape in expected.items():
+        if name not in tensors:
+            raise DataError(f"checkpoint has no tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise DataError(f"tensor {name!r} has shape {tensors[name].shape}, metadata implies {shape}")
 
 
 def save_model(path: str, bundle: ModelBundle) -> None:
@@ -90,23 +98,29 @@ def load_model(path: str) -> ModelBundle:
         params = MlpParams.from_tensors(tensors, leaky_slope=meta.get("leaky_slope", 0.01))
         return ModelBundle(kind="emlp", def_cfg=def_cfg, e=e, emlp=params)
     if kind == "eccc":
-        use_def = bool(meta.get("use_def", True))
+        defaults = TrainConfig()
+        use_def = bool(meta.get("use_def", defaults.use_def))
+        bins = int(meta.get("bins", defaults.hist_bins))
+        variant = meta.get("variant", defaults.variant)
+        h4 = bins // UPSAMPLE_FACTOR
+        expected = {"filters": (n_filters(variant), h4, h4)}
+        if use_def:
+            n = int(meta.get("n_biases", defaults.n_biases))
+            expected.update({"biases": (n, h4, h4), "mlp_b4": (n,)})
+        else:
+            expected["full_bias"] = (bins, bins)
+        _check_shapes(tensors, expected)
         mlp = None
-        biases = None
-        full_bias = None
         if use_def:
             mlp_tensors = {k[len("mlp_"):]: v for k, v in tensors.items() if k.startswith("mlp_")}
             mlp = MlpParams.from_tensors(mlp_tensors, leaky_slope=meta.get("leaky_slope", 0.01))
-            biases = tensors["biases"]
-        else:
-            full_bias = tensors["full_bias"]
         params = EcccParams(
             filters=tensors["filters"],
-            biases=biases,
-            full_bias=full_bias,
+            biases=tensors["biases"] if use_def else None,
+            full_bias=None if use_def else tensors["full_bias"],
             mlp=mlp,
-            bins=int(meta.get("bins", 64)),
-            variant=meta.get("variant", "both"),
+            bins=bins,
+            variant=variant,
             use_def=use_def,
         )
         return ModelBundle(kind="eccc", def_cfg=def_cfg, e=e, eccc=params)

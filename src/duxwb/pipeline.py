@@ -2,8 +2,14 @@
 
 Images are loaded one scene at a time and dropped once their feature vector
 (and, for the convolutional model, histogram stack) has been computed, so the
-working set stays small even for large datasets. Augmentation reloads the pair
-to relight it and recomputes features from the transformed frames.
+working set stays small even for large datasets.
+
+build_feature_set is the package's one augmentation loop. With augment=True,
+each train pair gains augment_copies Von Kries relit copies; every copy takes
+the illuminant of a random member of the pair's k-means cluster of features.
+The loop reloads the pair to relight it and recomputes features from the
+transformed frames. A copy that re-issues the pair's own illuminant (always
+the case in a single-member cluster) is counted in identity_copies.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 from .def_feature import DefConfig, compute_def
 from .eccc import hists_for_pair
 from .errors import DataError
+from .histogram import DEFAULT_BINS
 from .synth import DatasetManifest, load_pair
 from .training import kmeans, relight_pair
 
@@ -40,7 +47,7 @@ def build_feature_set(
     def_cfg: Optional[DefConfig] = None,
     with_hists: bool = False,
     variant: str = "both",
-    bins: int = 64,
+    bins: int = DEFAULT_BINS,
     augment: bool = False,
     augment_clusters: int = 80,
     augment_copies: int = 3,

@@ -177,13 +177,20 @@ def read_tensor(path: str) -> np.ndarray:
             if not c:
                 raise DataError(f"{path}: truncated header")
             header += c
-        parts = header.decode("ascii").split()
-        if len(parts) != 5 or parts[2] != "3" or parts[3] != "f32" or parts[4] != "le":
+        parts = header.decode("ascii", errors="replace").split()
+        if (len(parts) != 5 or not parts[0].isdigit() or not parts[1].isdigit()
+                or parts[2] != "3" or parts[3] != "f32" or parts[4] != "le"):
             raise DataError(f"{path}: unsupported header {header!r}")
         h, w = int(parts[0]), int(parts[1])
-        payload = fh.read(3 * h * w * 4)
-        if len(payload) != 3 * h * w * 4:
-            raise DataError(f"{path}: truncated payload")
+        if h <= 0 or w <= 0:
+            raise DataError(f"{path}: image size {h}x{w} is not positive")
+        # check the size before reading, so a corrupt header cannot ask for
+        # an allocation the file does not back
+        nbytes = 3 * h * w * 4
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining != nbytes:
+            raise DataError(f"{path}: header {h}x{w} needs {nbytes} payload bytes, file holds {remaining}")
+        payload = fh.read(nbytes)
         return np.frombuffer(payload, dtype="<f4").reshape(3, h, w).copy()
 
 

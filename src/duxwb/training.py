@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -89,15 +89,6 @@ class ClusterModel:
     labels: np.ndarray     # (n,) assignment of the training features
     inertia: float
     inertia_history: list = None  # per-iteration inertia, non-increasing
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    def assign(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        d2 = ((features[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return d2.argmin(axis=1)
 
 
 def _pairwise_sq(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -184,34 +175,6 @@ def relight_pair(pair: DualExposurePair, new_gt) -> DualExposurePair:
     )
 
 
-def augment_samples(
-    pairs: Sequence[DualExposurePair],
-    clusters: ClusterModel,
-    labels: np.ndarray,
-    copies: int = 3,
-    seed: int = 0,
-) -> tuple:
-    """Originals plus `copies` relit variants per pair, illuminants drawn
-    from the same cluster's members. Returns (pairs, identity_copies count).
-
-    A single-member cluster can only re-issue its own illuminant; those
-    identity copies are counted for diagnostics.
-    """
-    rng = np.random.default_rng(seed)
-    gts = np.stack([p.ground_truth.normalized().as_array() for p in pairs])
-    members = {c: np.flatnonzero(labels == c) for c in range(clusters.k)}
-    out: List[DualExposurePair] = list(pairs)
-    identity = 0
-    for idx, pair in enumerate(pairs):
-        pool = members[int(labels[idx])]
-        for _ in range(copies):
-            pick = int(pool[rng.integers(len(pool))])
-            if pick == idx or len(pool) == 1:
-                identity += 1
-            out.append(relight_pair(pair, gts[pick]))
-    return out, identity
-
-
 # ============================================================
 # ECCC bias initialization
 # ============================================================
@@ -266,11 +229,9 @@ def init_eccc_biases(train_defs: np.ndarray, train_gts: np.ndarray, n: int, bins
 class TrainConfig:
     model: str = "emlp"               # "emlp" | "eccc"
     epochs: int = 0                   # 0 picks the model default (1000 / 200)
-    batch_size: int = 32
+    batch_size: int = 32              # emlp only; eccc grows 16 -> 32 -> 64 at epoch thirds
     lr: float = 0.0                   # 0 picks the model default (1e-3 / 5e-3)
     weight_decay: float = -1.0        # <0 picks the model default (0 / 1e-5)
-    augment: bool = False
-    augment_clusters: int = 80
     seed: int = 0
     # eccc knobs
     n_biases: int = 20
@@ -278,8 +239,6 @@ class TrainConfig:
     variant: str = "both"
     use_def: bool = True
     bias_init: bool = True
-    cosine: bool = True               # eccc only; emlp uses a constant rate
-    incremental_batch: bool = True    # eccc only: 16 -> 32 -> 64 at epoch thirds
 
     def resolved(self) -> "TrainConfig":
         if self.model == "emlp":
@@ -317,19 +276,14 @@ class TrainResult:
     skipped_steps: int = 0
 
 
-def _eccc_batch_sizes(cfg: TrainConfig) -> Callable[[int], int]:
-    if not cfg.incremental_batch:
-        return lambda epoch: cfg.batch_size
-    third = cfg.epochs / 3.0
-
-    def schedule(epoch: int) -> int:
-        if epoch < third:
-            return 16
-        if epoch < 2 * third:
-            return 32
-        return 64
-
-    return schedule
+def _eccc_batch_size(epoch: int, epochs: int) -> int:
+    """ECCC batch size: 16 -> 32 -> 64 at epoch thirds."""
+    third = epochs / 3.0
+    if epoch < third:
+        return 16
+    if epoch < 2 * third:
+        return 32
+    return 64
 
 
 def train_emlp(
@@ -414,7 +368,6 @@ def train_eccc(
     tensors = params.tensors()
     state = adam_init(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    batch_of = _eccc_batch_sizes(cfg)
     log: List[TrainLogRow] = []
     last_good = params.copy()
     skipped = 0
@@ -424,8 +377,8 @@ def train_eccc(
     # precision halves the cache and the per-step transform cost
     hists_fft = fft_image(np.asarray(hists, dtype=np.float32), fft_size(cfg.hist_bins, cfg.hist_bins))
     for epoch in range(cfg.epochs):
-        lr = cosine_lr(cfg.lr, epoch, cfg.epochs) if cfg.cosine else cfg.lr
-        bs = batch_of(epoch)
+        lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
+        bs = _eccc_batch_size(epoch, cfg.epochs)
         order = rng.permutation(n)
         sum_loss = 0.0
         sum_smooth = 0.0

@@ -17,9 +17,9 @@ from duxwb.cli import main as cli_main
 from duxwb.core import DualExposurePair, Illuminant, RawImage, angular_error
 from duxwb.def_feature import DefConfig, compute_def
 from duxwb.eccc import (
+    _backward_batch,
+    _forward_batch,
     count_eccc_params,
-    eccc_backward_from_hists,
-    eccc_forward,
     eccc_forward_from_hists,
     hists_for_pair,
     init_eccc,
@@ -118,11 +118,14 @@ def _fd_worst_eccc(seed):
     hists /= hists.sum(axis=(1, 2), keepdims=True)
     feat = rng.standard_normal(15)
     gt = np.abs(rng.standard_normal(3)) + 0.1
-    _, grads, _ = eccc_backward_from_hists(params, hists, feat, gt)
+
+    def loss_and_grads():
+        return _backward_batch(params, _forward_batch(params, hists[None], feat[None]), gt[None])
+
+    _, grads, _ = loss_and_grads()
     # small steps resolve kink-straddling entries, the large one resolves
     # roundoff on near-zero gradients
-    return _fd_worst(lambda: eccc_backward_from_hists(params, hists, feat, gt)[0],
-                     grads, tensors, steps=(1e-3, 1e-4, 1e-2, 1e-5))
+    return _fd_worst(lambda: loss_and_grads()[0], grads, tensors, steps=(1e-3, 1e-4, 1e-2, 1e-5))
 
 
 def test_criterion_02_gradient_suite():
@@ -272,7 +275,7 @@ def _naive_corr_same(img, ker):
 
 def test_criterion_06_convolution_oracle():
     from duxwb.core import bilinear_upsample
-    from duxwb.convops import corr_same_multi
+    from duxwb.convops import corr_same_multi_fft, fft_image, fft_size
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(17)
@@ -282,7 +285,7 @@ def test_criterion_06_convolution_oracle():
         hists /= hists.sum(axis=(1, 2), keepdims=True)
         filters = rng.standard_normal((2, 16, 16)) * 0.3
         f_up = np.stack([bilinear_upsample(f, 4) for f in filters])
-        fast = corr_same_multi(hists, f_up)
+        fast = corr_same_multi_fft(fft_image(hists, fft_size(64, 64)), f_up, 64)
         ref = _naive_corr_same(hists[0], f_up[0]) + _naive_corr_same(hists[1], f_up[1])
         worst = max(worst, float(np.abs(fast - ref).max()))
     elapsed = time.perf_counter() - t0
@@ -435,7 +438,7 @@ def test_criterion_10_latency():
         return float(np.median(samples)) * 1e3
 
     forward_ms = timed(lambda: eccc_forward_from_hists(params, hists, feat, prepared=prep), 100)
-    full_ms = timed(lambda: eccc_forward(params, pair, feat), 50)
+    full_ms = timed(lambda: eccc_forward_from_hists(params, hists_for_pair(pair, "both", 64), feat), 50)
     def_ms = timed(lambda: compute_def(pair, DefConfig()), 20)  # informational
     elapsed = time.perf_counter() - t0
     ok = forward_ms <= 1.0 and full_ms <= 10.0 and elapsed < 60

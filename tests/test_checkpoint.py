@@ -115,3 +115,62 @@ def test_bundle_predicts(tmp_path, rng):
     ill = bundle.predict_pair(pair)
     assert isinstance(ill, Illuminant)
     assert np.linalg.norm(ill.as_array()) == pytest.approx(1.0, abs=1e-9)
+
+
+def _rewrite_manifest(path, edit):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
+def _saved_eccc(tmp_path, def_cfg=None):
+    params = init_eccc(bins=32, n=4, seed=5)
+    path = str(tmp_path / "eccc.ckpt")
+    save_model(path, ModelBundle(kind="eccc", def_cfg=def_cfg or DefConfig(), e=8, eccc=params))
+    return path
+
+
+def test_feature_meta_keys_unchanged(tmp_path):
+    path = _saved_eccc(tmp_path)
+    with open(path) as fh:
+        keys = [ln.split()[1] for ln in fh if ln.startswith("meta def_")]
+    assert keys == [
+        "def_color_repr", "def_eps_chroma", "def_eps_ratio", "def_include_covariance",
+        "def_map_direction", "def_mapping", "def_tm_extended",
+    ]
+
+
+def test_missing_feature_key_takes_config_default(tmp_path):
+    path = _saved_eccc(tmp_path, DefConfig(eps_ratio=1e-3, mapping="affine3x4"))
+    _rewrite_manifest(path, lambda lines: [ln for ln in lines if not ln.startswith("meta def_eps_ratio ")])
+    loaded = load_model(path)
+    assert loaded.def_cfg.eps_ratio == DefConfig().eps_ratio == 1e-2
+    assert loaded.def_cfg.mapping == "affine3x4"
+
+
+def test_unknown_feature_key_raises(tmp_path):
+    path = _saved_eccc(tmp_path)
+    _rewrite_manifest(path, lambda lines: lines + ["meta def_mask_saturated true"])
+    with pytest.raises(DataError, match="def_mask_saturated"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("saved,edited,tensor", [
+    ("meta bins 32", "meta bins 64", "filters"),      # 8x8 filters no longer match
+    ("meta n_biases 4", "meta n_biases 5", "biases"),
+])
+def test_metadata_disagreeing_with_tensors_raises(tmp_path, saved, edited, tensor):
+    path = _saved_eccc(tmp_path)
+    _rewrite_manifest(path, lambda lines: [edited if ln == saved else ln for ln in lines])
+    with pytest.raises(DataError, match=tensor):
+        load_model(path)
+
+
+def test_full_bias_shape_checked(tmp_path):
+    params = init_eccc(bins=32, n=4, use_def=False, seed=5)
+    params.full_bias = np.zeros((16, 16))
+    path = str(tmp_path / "eccc.ckpt")
+    save_model(path, ModelBundle(kind="eccc", def_cfg=DefConfig(), e=8, eccc=params))
+    with pytest.raises(DataError, match="full_bias"):
+        load_model(path)

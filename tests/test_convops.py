@@ -5,10 +5,12 @@ from duxwb.convops import (
     SOBEL_U,
     SOBEL_V,
     conv_full_3x3,
-    corr_same,
-    corr_same_grad_kernel,
-    corr_same_multi,
+    corr_same_multi_fft,
     corr_valid_3x3,
+    fft_flipped,
+    fft_image,
+    fft_size,
+    grad_kernel_from_products,
     sobel_smoothness,
 )
 
@@ -28,6 +30,18 @@ def naive_corr_same(img, ker):
     return out
 
 
+def corr_same(img, ker):
+    """Single-channel same-size correlation through the production FFT path."""
+    n, k = img.shape[-1], ker.shape[-1]
+    return corr_same_multi_fft(fft_image(img[..., None, :, :], fft_size(n, k)), ker[None], n)
+
+
+def grad_kernel(img, dout, ksize):
+    """Kernel gradient of corr_same through the production FFT path."""
+    size = fft_size(img.shape[-1], ksize)
+    return grad_kernel_from_products(fft_image(img, size) * fft_flipped(dout, size), img.shape[-1], ksize)
+
+
 @pytest.mark.parametrize("n,k", [(8, 8), (8, 4), (6, 3), (16, 16), (64, 64)])
 def test_corr_same_matches_naive(rng, n, k):
     img = rng.standard_normal((n, n))
@@ -38,9 +52,9 @@ def test_corr_same_matches_naive(rng, n, k):
 def test_corr_same_multi_sums_channels(rng):
     hists = rng.standard_normal((3, 2, 16, 16))
     kernels = rng.standard_normal((2, 16, 16))
-    out = corr_same_multi(hists, kernels)
+    out = corr_same_multi_fft(fft_image(hists, fft_size(16, 16)), kernels, 16)
     for b in range(3):
-        ref = corr_same(hists[b, 0], kernels[0]) + corr_same(hists[b, 1], kernels[1])
+        ref = naive_corr_same(hists[b, 0], kernels[0]) + naive_corr_same(hists[b, 1], kernels[1])
         assert np.abs(out[b] - ref).max() < 1e-10
 
 
@@ -49,22 +63,22 @@ def test_corr_same_grad_kernel_finite_difference(rng):
     img = rng.standard_normal((n, n))
     ker = rng.standard_normal((n, n))
     dout = rng.standard_normal((n, n))
-    grad = corr_same_grad_kernel(img, dout, n)
+    grad = grad_kernel(img, dout, n)
     h = 1e-6
     for a, b in [(0, 0), (3, 5), (7, 7), (1, 6)]:
         kp = ker.copy()
         kp[a, b] += h
         km = ker.copy()
         km[a, b] -= h
-        fd = ((corr_same(img, kp) * dout).sum() - (corr_same(img, km) * dout).sum()) / (2 * h)
+        fd = ((naive_corr_same(img, kp) * dout).sum() - (naive_corr_same(img, km) * dout).sum()) / (2 * h)
         assert grad[a, b] == pytest.approx(fd, abs=1e-6)
 
 
 def test_corr_same_grad_kernel_batched_sums(rng):
     imgs = rng.standard_normal((5, 8, 8))
     douts = rng.standard_normal((5, 8, 8))
-    batched = corr_same_grad_kernel(imgs, douts, 8)
-    summed = sum(corr_same_grad_kernel(imgs[i], douts[i], 8) for i in range(5))
+    batched = grad_kernel(imgs, douts, 8)
+    summed = sum(grad_kernel(imgs[i], douts[i], 8) for i in range(5))
     assert np.abs(batched - summed).max() < 1e-12
 
 

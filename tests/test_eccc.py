@@ -2,21 +2,18 @@ import numpy as np
 import pytest
 
 from duxwb.core import DualExposurePair, Illuminant, RawImage, angular_error
-from duxwb.convops import corr_same
 from duxwb.eccc import (
-    EcccParams,
+    _backward_batch,
+    _forward_batch,
     count_eccc_params,
     count_params,
-    eccc_backward,
-    eccc_backward_from_hists,
-    eccc_forward,
     eccc_forward_from_hists,
     hists_for_pair,
     init_eccc,
     LAMBDA_BIAS,
     LAMBDA_FILTER,
 )
-from duxwb.convops import sobel_smoothness
+from duxwb.convops import corr_same_multi_fft, fft_image, fft_size, sobel_smoothness
 from duxwb.core import bilinear_upsample
 from duxwb.errors import DomainError, EmptyHistogramError
 from duxwb.histogram import bin_centers, illuminant_to_uv
@@ -27,6 +24,16 @@ from conftest import random_image
 def _random_hists(rng, j=2, bins=64):
     h = np.abs(rng.standard_normal((j, bins, bins))) + 1e-3
     return h / h.sum(axis=(1, 2), keepdims=True)
+
+
+def _forward_pair(params, pair, feature):
+    return eccc_forward_from_hists(params, hists_for_pair(pair, params.variant, params.bins), feature)
+
+
+def _loss_and_grads(params, hists, feat, gt):
+    """One-sample loss and gradients through the batch cores."""
+    defs = None if feat is None else feat[None]
+    return _backward_batch(params, _forward_batch(params, hists[None], defs), gt[None])
 
 
 # ============================================================
@@ -102,9 +109,7 @@ def test_forward_conv_path_matches_spatial_oracle(rng):
     params.filters += rng.standard_normal(params.filters.shape) * 0.2
     hists = _random_hists(rng)
     f_up = np.stack([bilinear_upsample(f, 4) for f in params.filters])
-    from duxwb.convops import corr_same_multi
-
-    fast = corr_same_multi(hists, f_up)
+    fast = corr_same_multi_fft(fft_image(hists, fft_size(64, 64)), f_up, 64)
 
     def naive(img, ker):
         n, k = img.shape[0], ker.shape[0]
@@ -158,7 +163,7 @@ def test_single_hist_variant_forward(rng):
     params = init_eccc(bins=64, n=20, variant="long", seed=4)
     img = random_image(rng, 8, 8)
     pair = DualExposurePair(long=img, short=RawImage(img.data * 0.2), exposure_factor=2.0)
-    ill, p = eccc_forward(params, pair, rng.standard_normal(15))
+    ill, p = _forward_pair(params, pair, rng.standard_normal(15))
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
     # zero filters + zero bias bank -> uniform map -> neutral estimate
     assert np.allclose(ill.as_array(), np.ones(3) / np.sqrt(3.0), atol=1e-9)
@@ -176,8 +181,8 @@ def test_duplicate_pixels_leave_forward_invariant(rng):
         exposure_factor=2.0,
     )
     feat = rng.standard_normal(15)
-    ill_a, p_a = eccc_forward(params, pair, feat)
-    ill_b, p_b = eccc_forward(params, doubled, feat)
+    ill_a, p_a = _forward_pair(params, pair, feat)
+    ill_b, p_b = _forward_pair(params, doubled, feat)
     assert np.abs(p_a - p_b).max() < 1e-12
 
 
@@ -186,7 +191,7 @@ def test_empty_histogram_raises():
     zero = RawImage(np.zeros((3, 4, 4)))
     pair = DualExposurePair(long=zero, short=zero, exposure_factor=2.0)
     with pytest.raises(EmptyHistogramError):
-        eccc_forward(params, pair, np.zeros(15))
+        _forward_pair(params, pair, np.zeros(15))
 
 
 def test_feature_length_validated(rng):
@@ -205,7 +210,7 @@ def test_smoothness_terms_zero_for_constant_maps(rng):
     params.filters[:] = 1.5  # constant filters upsample to constant maps
     hists = _random_hists(rng)
     gt = np.array([0.5, 0.8, 0.6])
-    loss, grads, parts = eccc_backward_from_hists(params, hists, np.zeros(15), gt)
+    loss, grads, parts = _loss_and_grads(params, hists, np.zeros(15), gt)
     assert parts["smooth_bias_mean"] == pytest.approx(0.0, abs=1e-15)
     assert parts["smooth_filter"] == pytest.approx(0.0, abs=1e-15)
 
@@ -218,22 +223,20 @@ def test_loss_assembles_three_terms(rng):
     hists = _random_hists(rng, bins=16)
     feat = rng.standard_normal(15)
     gt = np.abs(rng.standard_normal(3)) + 0.2
-    loss, grads, parts = eccc_backward_from_hists(params, hists, feat, gt)
+    loss, grads, parts = _loss_and_grads(params, hists, feat, gt)
     ill, _ = eccc_forward_from_hists(params, hists, feat)
     ang = angular_error(ill, gt)
     r = bilinear_upsample
     f_up = [r(f, 4) for f in params.filters]
     s_f = LAMBDA_FILTER * sum(sobel_smoothness(f)[0] for f in f_up)
     # recompute the blended bias map for the smoothness term
-    from duxwb.eccc import _forward_batch
-
     cache = _forward_batch(params, hists[np.newaxis], feat[np.newaxis])
     s_b = LAMBDA_BIAS * sobel_smoothness(cache["b_up"][0])[0]
     assert loss == pytest.approx(ang + s_b + s_f, abs=1e-12)
 
 
 def _fd_worst(params, hists, feat, gt, h=1e-3):
-    _, grads, _ = eccc_backward_from_hists(params, hists, feat, gt)
+    _, grads, _ = _loss_and_grads(params, hists, feat, gt)
     worst = 0.0
     for name, arr in params.tensors().items():
         it = np.nditer(arr, flags=["multi_index"])
@@ -241,9 +244,9 @@ def _fd_worst(params, hists, feat, gt, h=1e-3):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            lp, _, _ = eccc_backward_from_hists(params, hists, feat, gt)
+            lp, _, _ = _loss_and_grads(params, hists, feat, gt)
             arr[idx] = orig - h
-            lm, _, _ = eccc_backward_from_hists(params, hists, feat, gt)
+            lm, _, _ = _loss_and_grads(params, hists, feat, gt)
             arr[idx] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[name][idx]
@@ -274,8 +277,6 @@ def test_gradients_full_bias_variant(rng):
 
 
 def test_batched_backward_matches_singles(rng):
-    from duxwb.eccc import _backward_batch, _forward_batch
-
     params = init_eccc(bins=16, n=3, seed=10)
     for _, a in params.tensors().items():
         a += rng.standard_normal(a.shape) * 0.1
@@ -286,7 +287,7 @@ def test_batched_backward_matches_singles(rng):
     loss_b, grads_b, _ = _backward_batch(params, cache, gts)
     losses, grads_s = [], None
     for i in range(4):
-        li, gi, _ = eccc_backward_from_hists(params, hists[i], feats[i], gts[i])
+        li, gi, _ = _loss_and_grads(params, hists[i], feats[i], gts[i])
         losses.append(li)
         grads_s = gi if grads_s is None else {k: grads_s[k] + gi[k] for k in gi}
     assert loss_b == pytest.approx(np.mean(losses), rel=1e-12)

@@ -145,6 +145,36 @@ def test_tensor_bad_magic(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("header", [b"0 4 3 f32 le\n", b"4 0 3 f32 le\n", b"-1 4 3 f32 le\n", b"x 4 3 f32 le\n"])
+def test_tensor_nonpositive_or_bad_size_raises(tmp_path, header):
+    path = str(tmp_path / "zero.dxt")
+    with open(path, "wb") as fh:
+        fh.write(b"DXT1" + header)
+    with pytest.raises(DataError):
+        read_tensor(path)
+
+
+def test_tensor_header_larger_than_file_raises(tmp_path):
+    path = str(tmp_path / "short.dxt")
+    write_tensor(path, np.zeros((3, 2, 2), dtype=np.float32))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        # claims 1000 x 1000 pixels over a 2 x 2 payload
+        fh.write(blob.replace(b"2 2 3 f32 le\n", b"1000 1000 3 f32 le\n"))
+    with pytest.raises(DataError, match="payload bytes"):
+        read_tensor(path)
+
+
+def test_tensor_trailing_bytes_raise(tmp_path):
+    path = str(tmp_path / "long.dxt")
+    write_tensor(path, np.zeros((3, 2, 2), dtype=np.float32))
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 4)
+    with pytest.raises(DataError):
+        read_tensor(path)
+
+
 # ============================================================
 # Dataset generation
 # ============================================================

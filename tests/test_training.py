@@ -4,11 +4,12 @@ import pytest
 from duxwb.core import DualExposurePair, Illuminant, RawImage, angular_error
 from duxwb.errors import DomainError
 from duxwb.mlp import emlp_init, mlp_forward
+from duxwb.pipeline import build_feature_set
+from duxwb.synth import SceneSpec, generate_dataset
 from duxwb.training import (
     TrainConfig,
     adam_init,
     adam_step,
-    augment_samples,
     cosine_lr,
     dilate_diamond,
     ensemble,
@@ -178,26 +179,24 @@ def test_von_kries_label_consistency(rng):
     assert np.abs(wb_orig - wb_aug).max() < 1e-6
 
 
-def test_augment_dataset_size_and_identity_count(rng):
-    pairs = []
-    gts = rng.uniform(0.3, 1.0, (12, 3))
-    for i in range(12):
-        img = random_image(rng, 4, 4)
-        pairs.append(
-            DualExposurePair(
-                long=img,
-                short=RawImage(img.data * 0.1),
-                exposure_factor=8.0,
-                ground_truth=Illuminant.from_array(gts[i]).normalized(),
-            )
-        )
-    defs = rng.standard_normal((12, 15))
-    model = kmeans(defs, 3, seed=0)
-    out, identity = augment_samples(pairs, model, model.labels, copies=3, seed=4)
-    assert len(out) == 4 * len(pairs)
-    assert identity >= 0
-    for aug in out[len(pairs):]:
-        assert aug.ground_truth is not None
+@pytest.fixture(scope="module")
+def augment_data(tmp_path_factory):
+    """Twelve small train scenes for the augmentation loop of build_feature_set."""
+    root = str(tmp_path_factory.mktemp("aug") / "d")
+    manifest = generate_dataset(root, 14, e_list=(8,), seed=3,
+                                spec=SceneSpec(width=16, height=12), splits=(12, 1, 1))
+    return root, manifest
+
+
+def test_augment_dataset_size_and_identity_count(augment_data):
+    root, manifest = augment_data
+    fs = build_feature_set(root, manifest, "train", 8, augment=True,
+                           augment_clusters=3, augment_copies=3, seed=4)
+    n = 12
+    assert len(fs) == 4 * n
+    assert 0 <= fs.identity_copies <= 3 * n
+    assert np.all(np.isfinite(fs.gts[n:]))
+    assert np.allclose(np.linalg.norm(fs.gts[n:], axis=1), 1.0, atol=1e-12)
 
 
 def test_von_kries_rejects_nonpositive():
@@ -205,25 +204,15 @@ def test_von_kries_rejects_nonpositive():
         von_kries_gains(np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
 
 
-def test_augment_singleton_clusters_reuse_illuminant(rng):
-    pairs = []
-    for i in range(4):
-        img = random_image(rng, 4, 4)
-        pairs.append(
-            DualExposurePair(
-                long=img,
-                short=RawImage(img.data * 0.1),
-                exposure_factor=8.0,
-                ground_truth=Illuminant.from_array(rng.uniform(0.3, 1.0, 3)).normalized(),
-            )
-        )
-    defs = rng.standard_normal((4, 15)) * 10  # well separated
-    model = kmeans(defs, 4, seed=0)  # every cluster is a singleton
-    out, identity = augment_samples(pairs, model, model.labels, copies=3, seed=1)
-    assert identity == 12
-    for i, aug in enumerate(out[4:]):
-        orig = pairs[i // 3].ground_truth.as_array()
-        assert np.allclose(aug.ground_truth.as_array(), orig, atol=1e-12)
+def test_augment_singleton_clusters_reuse_illuminant(augment_data):
+    root, manifest = augment_data
+    n = 12
+    # as many clusters as train scenes: every cluster is a singleton
+    fs = build_feature_set(root, manifest, "train", 8, augment=True,
+                           augment_clusters=n, augment_copies=3, seed=1)
+    assert fs.identity_copies == 3 * n
+    for i in range(3 * n):
+        assert np.allclose(fs.gts[n + i], fs.gts[i // 3], atol=1e-12)
 
 
 # ============================================================
