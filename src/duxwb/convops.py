@@ -6,8 +6,14 @@ through FFTs: fft_image transforms the histograms once (they are fixed across a
 training run, so the transforms are reused every epoch) and
 corr_same_multi_fft finishes the channel-summed correlation. Its adjoint
 (gradient w.r.t. the kernel) reuses the same padded transforms:
-grad_kernel_from_products(fft_image(img) * fft_flipped(dout)). The tiny 3x3
-Sobel penalties are computed by explicit shifts.
+grad_kernel_from_products(fft_image(img) * fft_flipped(dout)).
+
+The Sobel smoothness penalty has two paths. On a map itself it works by
+explicit shifts (corr_valid_3x3, conv_full_3x3); the full-bias ECCC variant
+penalises its bias this way. On a map given as coefficients x of a linear
+upsampling, up @ x @ up.T, it is the fixed quadratic form sobel_form(up)
+over x, which is how ECCC penalises its quarter-resolution filters and
+biases. The shift path is the test oracle of the quadratic form.
 
 Conventions, with o = (K-1)//2 for a K x K kernel over an N x N image:
     same-size:  out[i, j] = sum_{a,b} ker[a, b] * img[i + a - o, j + b - o]
@@ -98,13 +104,42 @@ def conv_full_3x3(y: np.ndarray, ker: np.ndarray) -> np.ndarray:
     return out
 
 
-def sobel_smoothness(map2d: np.ndarray) -> tuple:
+def sobel_form(up: np.ndarray) -> np.ndarray:
+    """(m², m²) matrix L with sobel_smoothness(up @ x @ up.T) equal to
+    vec(x)ᵀ L vec(x) for an (m, m) map x (row-major vec) and an (n, m)
+    upsampling matrix up.
+
+    SOBEL_U = [1,2,1]ᵀ ⊗ [-1,0,1], so the valid-mode response to up x upᵀ is
+    (S up) x (D up)ᵀ, with S and D the banded (n-2, n) [1,2,1] and [-1,0,1]
+    operators; SOBEL_V = SOBEL_Uᵀ swaps the two factors. Hence
+    L = kron(Gs, Gd) + kron(Gd, Gs) with Gs = (S up)ᵀ(S up), Gd = (D up)ᵀ(D up).
+    """
+    s_up = up[:-2] + 2.0 * up[1:-1] + up[2:]
+    d_up = up[2:] - up[:-2]
+    gs, gd = s_up.T @ s_up, d_up.T @ d_up
+    return np.kron(gs, gd) + np.kron(gd, gs)
+
+
+def sobel_smoothness(map2d: np.ndarray, form: np.ndarray = None) -> tuple:
     """Sum of squared Sobel responses of a map and its gradient.
 
     Returns (value, grad) where value = ||map * d_u||^2 + ||map * d_v||^2 in
     valid mode, so constant maps score exactly zero. Batched input returns a
     value per batch item and a matching gradient stack.
+
+    With form = sobel_form(up), map2d is a stack (k, m, m) of coefficient maps
+    x: the value is that of the upsampled maps up @ x @ up.T, computed as
+    vec(x)ᵀ L vec(x), and grad = 2 L vec(x) is taken w.r.t. x. up's rows must
+    sum to 1 (interpolation), so that constants upsample to constants and L
+    annihilates them; each map is centred on its first entry before L is
+    applied, which leaves the value unchanged and makes a constant map score
+    exactly zero (its mean is not always that constant in floating point).
     """
+    if form is not None:
+        flat = map2d.reshape(map2d.shape[0], -1)
+        flat = flat - flat[:, :1]
+        lx = flat @ form
+        return (lx * flat).sum(axis=1), 2.0 * lx.reshape(map2d.shape)
     yu = corr_valid_3x3(map2d, SOBEL_U)
     yv = corr_valid_3x3(map2d, SOBEL_V)
     value = (yu * yu).sum(axis=(-2, -1)) + (yv * yv).sum(axis=(-2, -1))

@@ -27,6 +27,7 @@ from .convops import (
     fft_image,
     fft_size,
     grad_kernel_from_products,
+    sobel_form,
     sobel_smoothness,
 )
 from .errors import DegenerateOutputError, DomainError
@@ -44,6 +45,13 @@ def _upsampler(bins: int) -> np.ndarray:
     """(bins, bins/4) bilinear interpolation matrix r: r @ x @ r.T upsamples a
     stack of quarter-resolution maps, r.T @ y @ r is its adjoint."""
     return interp_matrix(bins // UPSAMPLE_FACTOR, bins)
+
+
+@lru_cache(maxsize=None)
+def _smoothness_form(bins: int) -> np.ndarray:
+    """sobel_form of the upsampler: the Sobel penalty of r @ x @ r.T as a
+    quadratic form over the quarter-resolution map x, built on first use."""
+    return sobel_form(_upsampler(bins))
 
 
 def n_filters(variant: str) -> int:
@@ -206,13 +214,11 @@ def _forward_batch(
     batch = hists_fft.shape[0]
 
     if prepared is not None:
-        f_up = prepared["f_up"]
-        conv = corr_same_multi_fft(hists_fft, f_up, h, f_kernels=prepared["f_kernels"])
+        conv = corr_same_multi_fft(hists_fft, prepared["f_up"], h, f_kernels=prepared["f_kernels"])
     else:
-        f_up = r @ params.filters @ r.T
-        conv = corr_same_multi_fft(hists_fft, f_up, h)
+        conv = corr_same_multi_fft(hists_fft, r @ params.filters @ r.T, h)
 
-    cache = {"hists_fft": hists_fft, "f_up": f_up, "conv": conv, "batch": batch}
+    cache = {"hists_fft": hists_fft}
     if params.use_def:
         if defs is None:
             raise DomainError("this model requires a feature vector")
@@ -227,8 +233,7 @@ def _forward_batch(
         b_up = r @ b_small @ r.T
         cache.update({"w": w, "trace": trace, "b_small": b_small, "b_up": b_up})
     else:
-        b_up = np.broadcast_to(params.full_bias, conv.shape).copy()
-        cache["b_up"] = b_up
+        b_up = params.full_bias
 
     logits = conv + b_up
     flat = logits.reshape(batch, -1)
@@ -249,11 +254,14 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     """Mean loss over the batch and gradients for every parameter group.
 
     loss per sample = angular error + S_B (bias smoothness) + S_F (filter
-    smoothness); the filter term is shared across samples.
+    smoothness); the filter term is shared across samples. Both penalties are
+    Sobel energies of upsampled maps, taken as quadratic forms on the
+    quarter-resolution maps (_smoothness_form), so their gradients join the
+    quarter-resolution gradients directly. The full-bias variant takes S_B on
+    its one full-resolution bias.
     """
     h = params.bins
     r = _upsampler(h)
-    batch = cache["batch"]
     gts = np.atleast_2d(np.asarray(gts, dtype=np.float64))
 
     ang, dd, valid = angular_loss_batch(cache["direction"], gts)
@@ -263,8 +271,12 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     scale = 1.0 / n_valid
     weight = valid.astype(np.float64) * scale
 
-    s_b, grad_b_up_pen = sobel_smoothness(cache["b_up"])
-    s_f_each, grad_f_pen = sobel_smoothness(cache["f_up"])
+    form = _smoothness_form(h)
+    if params.use_def:
+        s_b, grad_b_pen = sobel_smoothness(cache["b_small"], form)
+    else:
+        s_b, grad_b_pen = sobel_smoothness(params.full_bias)
+    s_f_each, grad_f_pen = sobel_smoothness(params.filters, form)
     s_f = float(s_f_each.sum())
 
     losses = ang + LAMBDA_BIAS * s_b + LAMBDA_FILTER * s_f
@@ -291,12 +303,10 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
         grad_kernel_from_products(cache["hists_fft"][:, j] * f_dlogits, h, h)
         for j in range(params.n_filters)
     ])
-    df_up += LAMBDA_FILTER * grad_f_pen
-    grads["filters"] = r.T @ df_up @ r
+    grads["filters"] = r.T @ df_up @ r + LAMBDA_FILTER * grad_f_pen
 
-    db_up = dlogits + (LAMBDA_BIAS * weight)[:, None, None] * grad_b_up_pen
     if params.use_def:
-        db_small = r.T @ db_up @ r
+        db_small = r.T @ dlogits @ r + (LAMBDA_BIAS * weight)[:, None, None] * grad_b_pen
         grads["biases"] = np.einsum("bi,bjk->ijk", cache["w"], db_small)
         dw = np.einsum("njk,bjk->bn", params.biases, db_small)
         w = cache["w"]
@@ -305,7 +315,7 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
         for name, arr in mlp_grads.items():
             grads[f"mlp_{name}"] = arr
     else:
-        grads["full_bias"] = db_up.sum(axis=0)
+        grads["full_bias"] = dlogits.sum(axis=0) + LAMBDA_BIAS * weight.sum() * grad_b_pen
 
     parts = {
         "angular_mean": float(np.nansum(ang * weight)),

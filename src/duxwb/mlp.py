@@ -8,6 +8,7 @@ backward pass is analytic; no autograd framework is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,14 +66,19 @@ class MlpParams:
         return cls(weights=weights, biases=biases, leaky_slope=leaky_slope)
 
 
-def count_params(d_in: int, d_out: int = 3, hidden: int = HIDDEN_WIDTH) -> int:
+def tensor_shapes(d_in: int, d_out: int) -> dict:
+    """Shape of each tensor MlpParams.tensors names, for a [d_in -> 9 -> 9 -> 9 -> d_out] network."""
+    dims = [d_in] + [HIDDEN_WIDTH] * 3 + [d_out]
+    shapes = {}
+    for i in range(1, 5):
+        shapes[f"w{i}"] = (dims[i], dims[i - 1])
+        shapes[f"b{i}"] = (dims[i],)
+    return shapes
+
+
+def count_params(d_in: int, d_out: int = 3) -> int:
     """Exact scalar parameter count of the four-layer network."""
-    return (
-        d_in * hidden + hidden
-        + hidden * hidden + hidden
-        + hidden * hidden + hidden
-        + hidden * d_out + d_out
-    )
+    return sum(math.prod(shape) for shape in tensor_shapes(d_in, d_out).values())
 
 
 def init_mlp(
@@ -90,10 +96,10 @@ def init_mlp(
     prediction.
     """
     rng = np.random.default_rng(seed)
-    dims = [d_in, HIDDEN_WIDTH, HIDDEN_WIDTH, HIDDEN_WIDTH, d_out]
+    shapes = tensor_shapes(d_in, d_out)
     weights, biases = [], []
     for i in range(4):
-        fan_in, fan_out = dims[i], dims[i + 1]
+        fan_out, fan_in = shapes[f"w{i + 1}"]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         if i == 3:

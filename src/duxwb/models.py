@@ -8,7 +8,7 @@ from typing import Optional
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import DualExposurePair, Illuminant
-from .def_feature import DefConfig, compute_def
+from .def_feature import DefConfig, DefVector, compute_def
 from .eccc import (
     UPSAMPLE_FACTOR,
     EcccParams,
@@ -18,7 +18,7 @@ from .eccc import (
     prepare_predictor,
 )
 from .errors import DataError
-from .mlp import MlpParams, emlp_forward
+from .mlp import MlpParams, emlp_forward, tensor_shapes
 from .training import TrainConfig, ensemble
 
 
@@ -31,9 +31,14 @@ class ModelBundle:
     eccc: Optional[EcccParams] = None
     _prepared: Optional[dict] = None
 
-    def predict_pair(self, pair: DualExposurePair) -> Illuminant:
-        feature = None
-        if self.kind == "emlp" or self.eccc.use_def:
+    @property
+    def uses_def(self) -> bool:
+        return self.kind == "emlp" or self.eccc.use_def
+
+    def predict_pair(self, pair: DualExposurePair, feature: Optional[DefVector] = None) -> Illuminant:
+        """Estimate the illuminant of a pair. feature, when given, is the pair's
+        DEF under this bundle's def_cfg and is used instead of computing it."""
+        if feature is None and self.uses_def:
             feature = compute_def(pair, self.def_cfg)
         if self.kind == "emlp":
             return emlp_forward(self.emlp, feature.values)
@@ -95,6 +100,7 @@ def load_model(path: str) -> ModelBundle:
     def_cfg = _def_from_meta(meta)
     e = int(meta.get("e", 8))
     if kind == "emlp":
+        _check_shapes(tensors, tensor_shapes(def_cfg.feature_length, 3))
         params = MlpParams.from_tensors(tensors, leaky_slope=meta.get("leaky_slope", 0.01))
         return ModelBundle(kind="emlp", def_cfg=def_cfg, e=e, emlp=params)
     if kind == "eccc":
@@ -106,7 +112,9 @@ def load_model(path: str) -> ModelBundle:
         expected = {"filters": (n_filters(variant), h4, h4)}
         if use_def:
             n = int(meta.get("n_biases", defaults.n_biases))
-            expected.update({"biases": (n, h4, h4), "mlp_b4": (n,)})
+            expected["biases"] = (n, h4, h4)
+            for name, shape in tensor_shapes(def_cfg.feature_length, n).items():
+                expected["mlp_" + name] = shape
         else:
             expected["full_bias"] = (bins, bins)
         _check_shapes(tensors, expected)
@@ -128,4 +136,9 @@ def load_model(path: str) -> ModelBundle:
 
 
 def ensemble_predict(a: ModelBundle, b: ModelBundle, pair: DualExposurePair) -> Illuminant:
-    return ensemble(a.predict_pair(pair), b.predict_pair(pair))
+    """Renormalised mean of both estimates; the DEF is computed once when both
+    bundles use it under the same settings."""
+    feature = None
+    if a.uses_def and b.uses_def and a.def_cfg == b.def_cfg:
+        feature = compute_def(pair, a.def_cfg)
+    return ensemble(a.predict_pair(pair, feature), b.predict_pair(pair, feature))

@@ -9,7 +9,10 @@ from duxwb.def_feature import DefConfig
 from duxwb.eccc import count_params, init_eccc
 from duxwb.errors import DataError
 from duxwb.mlp import emlp_init
-from duxwb.models import ModelBundle, load_model, save_model
+from duxwb import models
+from duxwb.models import ModelBundle, ensemble_predict, load_model, save_model
+from duxwb.synth import SceneSpec, render_pair
+from duxwb.training import ensemble
 
 from conftest import random_image
 
@@ -125,9 +128,10 @@ def _rewrite_manifest(path, edit):
 
 
 def _saved_eccc(tmp_path, def_cfg=None):
-    params = init_eccc(bins=32, n=4, seed=5)
+    def_cfg = def_cfg or DefConfig()
+    params = init_eccc(bins=32, n=4, def_dim=def_cfg.feature_length, seed=5)
     path = str(tmp_path / "eccc.ckpt")
-    save_model(path, ModelBundle(kind="eccc", def_cfg=def_cfg or DefConfig(), e=8, eccc=params))
+    save_model(path, ModelBundle(kind="eccc", def_cfg=def_cfg, e=8, eccc=params))
     return path
 
 
@@ -174,3 +178,57 @@ def test_full_bias_shape_checked(tmp_path):
     save_model(path, ModelBundle(kind="eccc", def_cfg=DefConfig(), e=8, eccc=params))
     with pytest.raises(DataError, match="full_bias"):
         load_model(path)
+
+
+def _saved_mlp_bundle(tmp_path, kind, edit_mlp):
+    if kind == "emlp":
+        params = emlp_init(15, seed=3)
+        edit_mlp(params)
+        bundle = ModelBundle(kind="emlp", def_cfg=DefConfig(), e=8, emlp=params)
+    else:
+        params = init_eccc(bins=32, n=4, seed=5)
+        edit_mlp(params.mlp)
+        bundle = ModelBundle(kind="eccc", def_cfg=DefConfig(), e=8, eccc=params)
+    path = str(tmp_path / f"{kind}.ckpt")
+    save_model(path, bundle)
+    return path
+
+
+@pytest.mark.parametrize("kind,prefix", [("emlp", ""), ("eccc", "mlp_")])
+def test_mlp_weight_shape_checked(tmp_path, kind, prefix):
+    def bad_w2(mlp):
+        mlp.weights[1] = np.zeros((9, 7))
+
+    path = _saved_mlp_bundle(tmp_path, kind, bad_w2)
+    with pytest.raises(DataError, match=f"'{prefix}w2'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind,prefix", [("emlp", ""), ("eccc", "mlp_")])
+def test_missing_mlp_bias_raises(tmp_path, kind, prefix):
+    path = _saved_mlp_bundle(tmp_path, kind, lambda mlp: None)
+    _rewrite_manifest(path, lambda lines: [ln for ln in lines if not ln.startswith(f"tensor {prefix}b3 ")])
+    with pytest.raises(DataError, match=f"'{prefix}b3'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("b_cfg,b_use_def,def_calls", [
+    (DefConfig(), True, 1),                  # one shared DEF
+    (DefConfig(eps_ratio=1e-3), True, 2),    # different settings: one DEF each
+    (DefConfig(), False, 1),                 # only the EMLP needs it
+])
+def test_ensemble_computes_def_once_per_pair(monkeypatch, rng, b_cfg, b_use_def, def_calls):
+    a = ModelBundle(kind="emlp", def_cfg=DefConfig(), e=8, emlp=emlp_init(15, seed=3, neutral_start=False))
+    params = init_eccc(bins=32, n=4, use_def=b_use_def, seed=5)
+    for arr in params.tensors().values():
+        arr += rng.standard_normal(arr.shape) * 0.3
+    b = ModelBundle(kind="eccc", def_cfg=b_cfg, e=8, eccc=params)
+    pairs = [render_pair(SceneSpec().small(), 8, seed=s) for s in range(3)]
+    expected = [ensemble(a.predict_pair(p), b.predict_pair(p)).as_array() for p in pairs]
+
+    calls = []
+    compute_def = models.compute_def
+    monkeypatch.setattr(models, "compute_def", lambda pair, cfg: calls.append(cfg) or compute_def(pair, cfg))
+    for pair, want in zip(pairs, expected):
+        assert np.array_equal(ensemble_predict(a, b, pair).as_array(), want)
+    assert len(calls) == def_calls * len(pairs)

@@ -5,6 +5,8 @@ from duxwb.core import DualExposurePair, Illuminant, RawImage, angular_error
 from duxwb.eccc import (
     _backward_batch,
     _forward_batch,
+    _smoothness_form,
+    _upsampler,
     count_eccc_params,
     count_params,
     eccc_forward_from_hists,
@@ -203,6 +205,32 @@ def test_feature_length_validated(rng):
 # ============================================================
 # Backward
 # ============================================================
+
+@pytest.mark.parametrize("bins", [16, 32, 64, 128])
+def test_smoothness_form_matches_upsampled_sobel_oracle(rng, bins):
+    r = _upsampler(bins)
+    maps = rng.standard_normal((5, bins // 4, bins // 4)) + 3.0
+    value, grad = sobel_smoothness(maps, _smoothness_form(bins))
+    ref_value, ref_grad_up = sobel_smoothness(r @ maps @ r.T)
+    ref_grad = r.T @ ref_grad_up @ r
+    assert np.abs(value - ref_value).max() <= 1e-12 * np.abs(ref_value).max()
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+@pytest.mark.parametrize("bins", [16, 32, 64, 128])
+def test_smoothness_form_symmetric(bins):
+    form = _smoothness_form(bins)
+    assert form.shape == ((bins // 4) ** 2,) * 2
+    assert np.array_equal(form, form.T)
+
+
+def test_smoothness_form_exactly_zero_for_constant_maps(rng):
+    consts = np.concatenate([[0.0, 2.0, -1.5, 3.7], rng.standard_normal(60) * 10.0 ** rng.uniform(-3, 3, 60)])
+    maps = consts[:, None, None] * np.ones((1, 16, 16))
+    value, grad = sobel_smoothness(maps, _smoothness_form(64))
+    assert np.all(value == 0.0)
+    assert np.all(grad == 0.0)
+
 
 def test_smoothness_terms_zero_for_constant_maps(rng):
     params = init_eccc(bins=64, n=1, seed=0)
