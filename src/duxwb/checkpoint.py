@@ -5,7 +5,8 @@ tensor names, shapes, dtype, and byte offsets, plus metadata lines; and a
 little-endian float32 blob alongside it (same name with ``.bin`` appended).
 Values are stored as float32, so load(save(p)) is bitwise exact whenever the
 parameters are float32-representable, and save(load(path)) always reproduces
-the files byte for byte.
+the files byte for byte. Loading rejects a repeated tensor name and a blob
+that the tensors, in offset order, do not tile exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def load_checkpoint(path: str) -> Tuple[str, Dict[str, np.ndarray], Dict]:
     kind = ""
     blob_name = ""
     meta: Dict = {}
-    specs = []
+    specs: Dict[str, Tuple[int, tuple]] = {}
     for ln in lines[1:]:
         if not ln:
             continue
@@ -69,7 +70,11 @@ def load_checkpoint(path: str) -> Tuple[str, Dict[str, np.ndarray], Dict]:
             shape = tuple(int(d) for d in parts[3:])
             if dtype != "f32":
                 raise DataError(f"{path}: unsupported dtype {dtype}")
-            specs.append((name, offset, shape))
+            if any(d < 0 for d in shape):
+                raise DataError(f"{path}: tensor {name} has a negative dimension")
+            if name in specs:
+                raise DataError(f"{path}: duplicate tensor {name}")
+            specs[name] = (offset, shape)
         else:
             raise DataError(f"{path}: unknown manifest line {ln!r}")
     if not kind or not blob_name:
@@ -79,11 +84,17 @@ def load_checkpoint(path: str) -> Tuple[str, Dict[str, np.ndarray], Dict]:
         raise DataError(f"missing checkpoint blob {blob_path}")
     with open(blob_path, "rb") as fh:
         blob = fh.read()
+    # taken in offset order, the tensors must tile the blob exactly: no
+    # overlap, no gap, nothing after the last one
+    end = 0
+    for offset, nbytes, name in sorted((o, 4 * int(np.prod(shape)), n) for n, (o, shape) in specs.items()):
+        if offset != end:
+            raise DataError(f"{path}: tensor {name} at byte {offset}, expected {end} (overlap or gap)")
+        end += nbytes
+    if end != len(blob):
+        raise DataError(f"{blob_path}: tensors cover {end} bytes, blob holds {len(blob)}")
     tensors: Dict[str, np.ndarray] = {}
-    for name, offset, shape in specs:
-        count = int(np.prod(shape)) if shape else 1
-        raw = blob[offset:offset + 4 * count]
-        if len(raw) != 4 * count:
-            raise DataError(f"{blob_path}: truncated tensor {name}")
+    for name, (offset, shape) in specs.items():
+        raw = blob[offset:offset + 4 * int(np.prod(shape))]
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
     return kind, tensors, meta

@@ -67,9 +67,14 @@ class RawImage:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3 or self.data.shape[0] != 3:
             raise DomainError(f"raw image must have shape (3, h, w), got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
+        if self.data.size == 0:
+            return
+        # two reductions instead of two full-size boolean temporaries: NaN
+        # propagates through both, and an infinity surfaces as an extreme
+        lo, hi = self.data.min(), self.data.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DomainError("raw image contains non-finite values")
-        if np.any(self.data < 0.0):
+        if lo < 0.0:
             raise DomainError("raw image contains negative values")
 
     @property

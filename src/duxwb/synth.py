@@ -190,8 +190,11 @@ def read_tensor(path: str) -> np.ndarray:
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         if remaining != nbytes:
             raise DataError(f"{path}: header {h}x{w} needs {nbytes} payload bytes, file holds {remaining}")
-        payload = fh.read(nbytes)
-        return np.frombuffer(payload, dtype="<f4").reshape(3, h, w).copy()
+        data = np.empty((3, h, w), dtype="<f4")
+        got = fh.readinto(data)
+        if got != nbytes:
+            raise DataError(f"{path}: short read, {got} of {nbytes} payload bytes")
+        return data
 
 
 # ============================================================
@@ -354,7 +357,7 @@ def load_image(root: str, entry: SceneEntry, key: str) -> RawImage:
     path = os.path.join(root, rel)
     if not os.path.isfile(path):
         raise DataError(f"missing tensor file {path} (scene {entry.scene_id})")
-    return RawImage(read_tensor(path).astype(np.float64))
+    return RawImage(read_tensor(path))
 
 
 def load_pair(root: str, entry: SceneEntry, e: int) -> DualExposurePair:

@@ -28,10 +28,11 @@ from .mlp import MlpParams, angular_loss_batch, emlp_init, mlp_backward, mlp_for
 
 @dataclass
 class AdamState:
-    """Per-tensor first/second moments plus the shared step counter."""
+    """Moments of all tensors as one flat vector each (Adam is elementwise), plus the step counter."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
+    layout: dict  # tensor name -> (slice, shape), in the params dict's order
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -42,9 +43,11 @@ class AdamState:
 
 
 def adam_init(params: dict, lr: float, weight_decay: float = 0.0) -> AdamState:
-    m = {k: np.zeros_like(p) for k, p in params.items()}
-    v = {k: np.zeros_like(p) for k, p in params.items()}
-    return AdamState(m=m, v=v, lr=lr, weight_decay=weight_decay)
+    layout, n = {}, 0
+    for k, p in params.items():
+        layout[k] = (slice(n, n + p.size), p.shape)
+        n += p.size
+    return AdamState(m=np.zeros(n), v=np.zeros(n), layout=layout, lr=lr, weight_decay=weight_decay)
 
 
 def adam_step(state: AdamState, params: dict, grads: dict, lr: Optional[float] = None) -> bool:
@@ -52,23 +55,21 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: Optional[float] =
 
     Weight decay is decoupled from the moment estimates.
     """
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            state.rejected += 1
-            return False
+    g = np.concatenate([grads[k] for k in state.layout], axis=None)
+    if not np.all(np.isfinite(g)):
+        state.rejected += 1
+        return False
     rate = state.lr if lr is None else lr
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for k, p in params.items():
-        g = grads[k]
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[k] / c1
-        v_hat = state.v[k] / c2
-        p -= rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+    step = rate * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    for k, (sl, shape) in state.layout.items():
+        params[k] -= step[sl].reshape(shape)
         if state.weight_decay > 0.0:
-            p -= rate * state.weight_decay * p
+            params[k] -= rate * state.weight_decay * params[k]
     return True
 
 

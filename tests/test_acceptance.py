@@ -368,6 +368,7 @@ def synthetic_run(tmp_path_factory):
     }
 
 
+@pytest.mark.slow
 def test_criterion_08_end_to_end_learning(synthetic_run):
     r = synthetic_run
     control_gap = abs(r["shuffled_mean"] - r["untrained_mean"])
@@ -391,6 +392,7 @@ def test_criterion_08_end_to_end_learning(synthetic_run):
 # 9. Exposure-factor trend
 # ============================================================
 
+@pytest.mark.slow
 def test_criterion_09_exposure_trend(tmp_path):
     t0 = time.perf_counter()
     spec = SceneSpec().small()
@@ -508,6 +510,7 @@ def _full_run(base: str) -> dict:
     return blobs
 
 
+@pytest.mark.slow
 def test_criterion_12_determinism(tmp_path):
     t0 = time.perf_counter()
     a = _full_run(str(tmp_path / "a"))

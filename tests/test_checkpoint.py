@@ -71,6 +71,42 @@ def test_missing_blob_raises(tmp_path):
         load_checkpoint(path)
 
 
+def _saved_two_tensors(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, "emlp", {"w1": np.ones((2, 2)), "b1": np.zeros(2)}, {})
+    return path
+
+
+def test_blob_trailing_bytes_raise(tmp_path):
+    path = _saved_two_tensors(tmp_path)
+    with open(path + ".bin", "ab") as fh:
+        fh.write(b"\0" * 4)
+    with pytest.raises(DataError, match="blob holds"):
+        load_checkpoint(path)
+
+
+def test_blob_gap_raises(tmp_path):
+    path = _saved_two_tensors(tmp_path)
+    _rewrite_manifest(path, lambda lines: [ln for ln in lines if not ln.startswith("tensor w1 ")])
+    with pytest.raises(DataError, match="gap"):
+        load_checkpoint(path)
+
+
+def test_overlapping_tensor_offsets_raise(tmp_path):
+    path = _saved_two_tensors(tmp_path)
+    # b1 moved inside w1 would read two of w1's ones
+    _rewrite_manifest(path, lambda lines: [ln.replace("tensor b1 f32 16 2", "tensor b1 f32 8 2") for ln in lines])
+    with pytest.raises(DataError, match="overlap"):
+        load_checkpoint(path)
+
+
+def test_duplicate_tensor_line_raises(tmp_path):
+    path = _saved_two_tensors(tmp_path)
+    _rewrite_manifest(path, lambda lines: lines + [ln for ln in lines if ln.startswith("tensor b1 ")])
+    with pytest.raises(DataError, match="duplicate tensor b1"):
+        load_checkpoint(path)
+
+
 # ============================================================
 # Model bundles
 # ============================================================
@@ -207,7 +243,11 @@ def test_mlp_weight_shape_checked(tmp_path, kind, prefix):
 @pytest.mark.parametrize("kind,prefix", [("emlp", ""), ("eccc", "mlp_")])
 def test_missing_mlp_bias_raises(tmp_path, kind, prefix):
     path = _saved_mlp_bundle(tmp_path, kind, lambda mlp: None)
-    _rewrite_manifest(path, lambda lines: [ln for ln in lines if not ln.startswith(f"tensor {prefix}b3 ")])
+    # drop the tensor from both files: deleting only its manifest line would
+    # leave a gap in the blob, which load_checkpoint rejects on its own
+    _, tensors, meta = load_checkpoint(path)
+    del tensors[f"{prefix}b3"]
+    save_checkpoint(path, kind, tensors, meta)
     with pytest.raises(DataError, match=f"'{prefix}b3'"):
         load_model(path)
 

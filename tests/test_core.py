@@ -83,6 +83,23 @@ def test_raw_image_invariants():
     assert img.height == 5 and img.width == 7 and img.pixel_count == 35
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_image_non_finite_reported_before_negative(bad):
+    data = np.full((3, 4, 4), 0.5)
+    data[0, 0, 0] = -1.0
+    data[2, 3, 3] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        RawImage(data)
+    data[2, 3, 3] = 0.5
+    with pytest.raises(DomainError, match="negative"):
+        RawImage(data)
+
+
+def test_raw_image_with_zero_pixels():
+    img = RawImage(np.zeros((3, 0, 7), dtype=np.float32))
+    assert img.data.dtype == np.float64 and img.pixel_count == 0
+
+
 def test_pair_requires_matching_shapes():
     a = RawImage(np.zeros((3, 4, 4)))
     b = RawImage(np.zeros((3, 4, 5)))

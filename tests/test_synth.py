@@ -1,4 +1,5 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,6 +174,27 @@ def test_tensor_trailing_bytes_raise(tmp_path):
         fh.write(b"\0" * 4)
     with pytest.raises(DataError):
         read_tensor(path)
+
+
+def test_tensor_short_read_raises(tmp_path, monkeypatch):
+    path = str(tmp_path / "img.dxt")
+    write_tensor(path, np.zeros((3, 2, 2), dtype=np.float32))
+    with open(path, "rb+") as fh:
+        fh.truncate(os.path.getsize(path) - 4)
+    # a file that shrinks between the size check and the read
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 4))
+    with pytest.raises(DataError, match="short read"):
+        read_tensor(path)
+
+
+def test_load_pair_frames_are_the_stored_values_as_float64(tmp_path):
+    manifest = generate_dataset(str(tmp_path), n_scenes=1, e_list=(8,), seed=0, spec=SMALL)
+    entry = manifest.scenes[0]
+    pair = load_pair(str(tmp_path), entry, 8)
+    for img, key in ((pair.long, "long_8"), (pair.short, "short_8")):
+        stored = read_tensor(os.path.join(str(tmp_path), entry.files[key]))
+        assert img.data.dtype == np.float64 and np.array_equal(img.data, stored)
 
 
 # ============================================================

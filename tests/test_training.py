@@ -83,6 +83,69 @@ def test_adam_rejects_nonfinite_gradient():
     assert state.step == 0
 
 
+def _reference_adam_step(state, params, grads, lr=None):
+    """The per-tensor Adam the flat-vector step must match bit for bit;
+    ``state`` holds dicts ``m`` and ``v`` and a ``step`` count."""
+    for g in grads.values():
+        if not np.all(np.isfinite(g)):
+            return False
+    rate = 1e-2 if lr is None else lr
+    state["step"] += 1
+    c1 = 1.0 - 0.9 ** state["step"]
+    c2 = 1.0 - 0.999 ** state["step"]
+    for k, p in params.items():
+        g = grads[k]
+        state["m"][k] = 0.9 * state["m"][k] + (1.0 - 0.9) * g
+        state["v"][k] = 0.999 * state["v"][k] + (1.0 - 0.999) * (g * g)
+        m_hat = state["m"][k] / c1
+        v_hat = state["v"][k] / c2
+        p -= rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        if state["wd"] > 0.0:
+            p -= rate * state["wd"] * p
+    return True
+
+
+_MIXED_SHAPES = {"w": (9, 15), "b": (9,), "maps": (2, 16, 16), "s": (1,)}
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+@pytest.mark.parametrize("lr_override", [False, True])
+def test_flat_adam_matches_per_tensor_reference_bitwise(weight_decay, lr_override):
+    rng = np.random.default_rng(11)
+    params = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
+    ref_params = {k: p.copy() for k, p in params.items()}
+    state = adam_init(params, lr=1e-2, weight_decay=weight_decay)
+    ref = {"m": {k: np.zeros_like(p) for k, p in params.items()},
+           "v": {k: np.zeros_like(p) for k, p in params.items()}, "step": 0, "wd": weight_decay}
+    for t in range(50):
+        grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for k, shape in _MIXED_SHAPES.items()}
+        lr = 5e-3 * (1 + np.cos(t)) if lr_override else None
+        assert adam_step(state, params, grads, lr=lr)
+        assert _reference_adam_step(ref, ref_params, grads, lr=lr)
+    assert state.step == ref["step"] == 50
+    for k, (sl, shape) in state.layout.items():
+        assert params[k].tobytes() == ref_params[k].tobytes()
+        assert state.m[sl].reshape(shape).tobytes() == ref["m"][k].tobytes()
+        assert state.v[sl].reshape(shape).tobytes() == ref["v"][k].tobytes()
+
+
+def test_adam_nan_in_one_tensor_rejects_the_whole_step():
+    rng = np.random.default_rng(12)
+    params = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
+    state = adam_init(params, lr=1e-2, weight_decay=1e-2)
+    grads = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
+    assert adam_step(state, params, grads)
+    before = {k: p.copy() for k, p in params.items()}
+    m, v = state.m.copy(), state.v.copy()
+    bad = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
+    bad["maps"][1, 7, 3] = np.nan
+    assert not adam_step(state, params, bad)
+    assert state.rejected == 1 and state.step == 1
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    for k in params:
+        assert params[k].tobytes() == before[k].tobytes()
+
+
 def test_cosine_schedule_endpoints():
     assert cosine_lr(1.0, 0, 100) == pytest.approx(1.0)
     assert cosine_lr(1.0, 99, 100) == pytest.approx(0.0, abs=1e-12)
