@@ -63,11 +63,17 @@ def load_checkpoint(path: str) -> Tuple[str, Dict[str, np.ndarray], Dict]:
             blob_name = rest
         elif tag == "meta":
             key, _, value = rest.partition(" ")
-            meta[key] = json.loads(value)
+            try:
+                meta[key] = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: malformed manifest line {ln!r}: {exc}") from exc
         elif tag == "tensor":
             parts = rest.split()
-            name, dtype, offset = parts[0], parts[1], int(parts[2])
-            shape = tuple(int(d) for d in parts[3:])
+            try:
+                name, dtype, offset = parts[0], parts[1], int(parts[2])
+                shape = tuple(int(d) for d in parts[3:])
+            except (IndexError, ValueError) as exc:
+                raise DataError(f"{path}: malformed manifest line {ln!r}") from exc
             if dtype != "f32":
                 raise DataError(f"{path}: unsupported dtype {dtype}")
             if any(d < 0 for d in shape):

@@ -15,6 +15,16 @@ upsampling, up @ x @ up.T, it is the fixed quadratic form sobel_form(up)
 over x, which is how ECCC penalises its quarter-resolution filters and
 biases. The shift path is the test oracle of the quadratic form.
 
+The FFT library follows the precision (_fft_lib). Double-precision transforms,
+which inference, evaluation and the test oracles use, run through numpy.fft:
+numpy 2's pocketfft computes them to the same bits as scipy.fft, and importing
+scipy.fft was about two thirds of the CPU time of a cold `duxwb infer`.
+Single-precision transforms, which only ECCC training uses, run through
+scipy.fft, imported on first use: numpy.fft is about 2.5 times slower there
+and not bit-equal. The inverse transform applies its 1/size² scale once, after
+both passes, as scipy.fft does; numpy.fft's irfft2 scales each pass by 1/size,
+which rounds differently unless size is a power of two.
+
 Conventions, with o = (K-1)//2 for a K x K kernel over an N x N image:
     same-size:  out[i, j] = sum_{a,b} ker[a, b] * img[i + a - o, j + b - o]
     valid:      out[i, j] = sum_{a,b} ker[a, b] * img[i + a, j + b]
@@ -23,21 +33,53 @@ All functions broadcast over leading batch dimensions.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-import scipy.fft as sfft
 
 SOBEL_U = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_V = SOBEL_U.T.copy()
 
 
+@lru_cache(maxsize=None)
 def fft_size(n: int, k: int) -> int:
-    """Padded transform size for linear correlation of N x N with K x K."""
-    return sfft.next_fast_len(n + k - 1, real=True)
+    """Padded transform size for linear correlation of N x N with K x K: the
+    smallest 2-3-5-smooth integer >= N + K - 1, as scipy.fft.next_fast_len
+    returns it for real transforms."""
+    m = max(n + k - 1, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def _fft_lib(dtype):
+    """numpy.fft for double precision, scipy.fft for single (see module docstring)."""
+    if dtype in (np.float32, np.complex64):
+        import scipy.fft
+        return scipy.fft
+    return np.fft
+
+
+def _irfft2_crop(prod: np.ndarray, size: int, start: int, n: int) -> np.ndarray:
+    """The [start, start + n) window of irfft2(prod, (size, size)) on both axes.
+
+    The row window is cut between the two passes, so the real inverse runs on
+    the n kept rows only; the scale is applied last, on the window.
+    """
+    fft = _fft_lib(prod.dtype)
+    rows = fft.ifft(prod, n=size, axis=-2, norm="forward")[..., start:start + n, :]
+    full = fft.irfft(rows, n=size, axis=-1, norm="forward")
+    return full[..., start:start + n] * (1.0 / (size * size))
 
 
 def fft_image(img: np.ndarray, size: int) -> np.ndarray:
     """Padded forward transform, cacheable across repeated correlations."""
-    return sfft.rfft2(img, (size, size))
+    return _fft_lib(img.dtype).rfft2(img, s=(size, size))
 
 
 def corr_same_multi_fft(
@@ -58,16 +100,14 @@ def corr_same_multi_fft(
     if f_kernels is None:
         if f_hists.dtype == np.complex64:
             kernels = kernels.astype(np.float32)
-        f_kernels = sfft.rfft2(kernels[..., ::-1, ::-1], (size, size))
+        f_kernels = fft_flipped(kernels, size)
     prod = (f_hists * f_kernels).sum(axis=-3)
-    full = sfft.irfft2(prod, (size, size))
-    start = k - 1 - (k - 1) // 2
-    return full[..., start:start + n, start:start + n]
+    return _irfft2_crop(prod, size, k - 1 - (k - 1) // 2, n)
 
 
 def fft_flipped(dout: np.ndarray, size: int) -> np.ndarray:
     """Padded transform of the axis-reversed array, for kernel-gradient paths."""
-    return sfft.rfft2(dout[..., ::-1, ::-1], (size, size))
+    return fft_image(dout[..., ::-1, ::-1], size)
 
 
 def grad_kernel_from_products(prod: np.ndarray, n: int, ksize: int) -> np.ndarray:
@@ -75,9 +115,7 @@ def grad_kernel_from_products(prod: np.ndarray, n: int, ksize: int) -> np.ndarra
     size = fft_size(n, ksize)
     if prod.ndim > 2:
         prod = prod.reshape(-1, prod.shape[-2], prod.shape[-1]).sum(axis=0)
-    full = sfft.irfft2(prod, (size, size))
-    start = n - 1 - (ksize - 1) // 2
-    return full[start:start + ksize, start:start + ksize]
+    return _irfft2_crop(prod, size, n - 1 - (ksize - 1) // 2, ksize)
 
 
 def corr_valid_3x3(img: np.ndarray, ker: np.ndarray) -> np.ndarray:

@@ -237,8 +237,8 @@ def _forward_batch(
 
     logits = conv + b_up
     flat = logits.reshape(batch, -1)
-    flat = flat - flat.max(axis=1, keepdims=True)
-    p = np.exp(flat)
+    flat -= flat.max(axis=1, keepdims=True)
+    p = np.exp(flat, out=flat)
     p /= p.sum(axis=1, keepdims=True)
     p = p.reshape(batch, h, h)
 

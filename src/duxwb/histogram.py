@@ -10,6 +10,7 @@ proportional to (exp(-u), 1, exp(-v)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,9 +26,13 @@ def bin_width(bins: int = DEFAULT_BINS) -> float:
     return (CHROMA_MAX - CHROMA_MIN) / bins
 
 
+@lru_cache(maxsize=None)
 def bin_centers(bins: int = DEFAULT_BINS) -> np.ndarray:
+    """Bin-center chroma values, cached per bin count and read-only."""
     eps = bin_width(bins)
-    return CHROMA_MIN + (np.arange(bins) + 0.5) * eps
+    centers = CHROMA_MIN + (np.arange(bins) + 0.5) * eps
+    centers.flags.writeable = False
+    return centers
 
 
 @dataclass

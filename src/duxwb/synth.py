@@ -248,17 +248,20 @@ class DatasetManifest:
         path = os.path.join(root, "manifest.json")
         if not os.path.isfile(path):
             raise DataError(f"no manifest at {path}")
-        with open(path) as fh:
-            payload = json.load(fh)
-        scenes = [SceneEntry(**s) for s in payload["scenes"]]
-        return cls(
-            seed=payload["seed"],
-            width=payload["width"],
-            height=payload["height"],
-            e_list=list(payload["e_list"]),
-            scenes=scenes,
-            version=payload.get("version", 1),
-        )
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            scenes = [SceneEntry(**s) for s in payload["scenes"]]
+            return cls(
+                seed=payload["seed"],
+                width=payload["width"],
+                height=payload["height"],
+                e_list=list(payload["e_list"]),
+                scenes=scenes,
+                version=payload.get("version", 1),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed manifest: {exc!r}") from exc
 
 
 def split_counts(n_scenes: int, splits: Optional[Sequence[int]] = None) -> tuple:

@@ -107,6 +107,15 @@ def test_duplicate_tensor_line_raises(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("line", ["tensor w f32 x 3", "tensor w", "meta e {bad"])
+def test_malformed_manifest_line_raises(tmp_path, line):
+    path = _saved_two_tensors(tmp_path)
+    _rewrite_manifest(path, lambda lines: lines + [line])
+    with pytest.raises(DataError, match="malformed manifest line") as info:
+        load_checkpoint(path)
+    assert repr(line) in str(info.value)
+
+
 # ============================================================
 # Model bundles
 # ============================================================

@@ -154,6 +154,54 @@ def test_infer(dataset, tmp_path, capsys):
     assert np.linalg.norm(ill) == pytest.approx(1.0, abs=1e-6)
 
 
+# Runs each (name, argv) through cli.main in a fresh interpreter and prints the
+# scipy modules loaded after each one; pytest's own process has scipy loaded.
+SCIPY_PROBE = """
+import json, sys
+from duxwb.cli import main
+loaded = {}
+for name, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, name
+    loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+def scipy_modules_after(commands):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_inference_commands_leave_scipy_unloaded(dataset, tmp_path):
+    emlp_ckpt = str(tmp_path / "emlp.ckpt")
+    eccc_ckpt = str(tmp_path / "eccc.ckpt")
+    assert run_cli(["train", "--data", dataset, "--model", "emlp", "--e", "8",
+                    "--out", emlp_ckpt, "--epochs", "2", "--seed", "0"]) == 0
+    assert run_cli(["train", "--data", dataset, "--model", "eccc", "--e", "8",
+                    "--out", eccc_ckpt, "--epochs", "1", "--n", "3", "--seed", "0"]) == 0
+    with open(os.path.join(dataset, "manifest.json")) as fh:
+        files = json.load(fh)["scenes"][0]["files"]
+    loaded = scipy_modules_after([
+        ("infer", ["infer", "--ckpt", eccc_ckpt, "--long", os.path.join(dataset, files["long_8"]),
+                   "--short", os.path.join(dataset, files["short_8"])]),
+        ("eval", ["eval", "--ckpt", eccc_ckpt, "--data", dataset, "--split", "val",
+                  "--out-report", str(tmp_path / "eval.json")]),
+        ("ensemble-eval", ["ensemble-eval", "--ckpt-a", emlp_ckpt, "--ckpt-b", eccc_ckpt, "--data", dataset,
+                           "--split", "val", "--out-report", str(tmp_path / "ens.json")]),
+    ])
+    assert loaded == {"infer": [], "eval": [], "ensemble-eval": []}
+
+
+def test_eccc_training_loads_scipy(dataset, tmp_path):
+    loaded = scipy_modules_after([
+        ("train", ["train", "--data", dataset, "--model", "eccc", "--e", "8", "--out", str(tmp_path / "m.ckpt"),
+                   "--epochs", "1", "--n", "3", "--seed", "0"]),
+    ])
+    assert "scipy.fft" in loaded["train"]
+
+
 def test_runtime_failure_exit_code(tmp_path):
     code = run_cli([
         "eval", "--baseline", "gray-world", "--data", str(tmp_path / "missing"),

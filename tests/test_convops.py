@@ -125,3 +125,48 @@ def test_smoothness_batched(rng):
         v, g = sobel_smoothness(xs[i])
         assert values[i] == pytest.approx(v, rel=1e-12)
         assert np.abs(grads[i] - g).max() < 1e-12
+
+
+# ============================================================
+# FFT library contract: numpy.fft in double precision must give scipy.fft's
+# bits and sizes; single precision stays single
+# ============================================================
+
+def test_fft_size_matches_scipy_next_fast_len():
+    sfft = pytest.importorskip("scipy.fft")
+    for total in range(1, 601):
+        for k in (1, (total + 1) // 2):
+            assert fft_size(total - k + 1, k) == sfft.next_fast_len(total, real=True)
+
+
+@pytest.mark.parametrize("bins", [12, 16, 32, 48, 64, 128])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_double_precision_transforms_match_scipy_bits(rng, bins, batch):
+    sfft = pytest.importorskip("scipy.fft")
+    size = fft_size(bins, bins)
+    start = bins - 1 - (bins - 1) // 2  # same-size window, for correlation and kernel gradient alike
+    hists = rng.random((batch, 2, bins, bins))
+    kernels = rng.standard_normal((2, bins, bins))
+    dout = rng.standard_normal((batch, bins, bins))
+
+    f_hists = fft_image(hists, size)
+    assert np.array_equal(f_hists, sfft.rfft2(hists, (size, size)))
+    f_kernels = fft_flipped(kernels, size)
+    assert np.array_equal(f_kernels, sfft.rfft2(kernels[..., ::-1, ::-1], (size, size)))
+
+    ref = sfft.irfft2((f_hists * f_kernels).sum(axis=-3), (size, size))
+    assert np.array_equal(corr_same_multi_fft(f_hists, kernels, bins), ref[..., start:start + bins, start:start + bins])
+
+    prod = f_hists[:, 0] * fft_flipped(dout, size)
+    ref = sfft.irfft2(prod.sum(axis=0), (size, size))
+    assert np.array_equal(grad_kernel_from_products(prod, bins, bins), ref[start:start + bins, start:start + bins])
+
+
+def test_single_precision_stays_single(rng):
+    hists = rng.random((3, 2, 16, 16)).astype(np.float32)
+    size = fft_size(16, 16)
+    f_hists = fft_image(hists, size)
+    assert f_hists.dtype == np.complex64
+    assert fft_flipped(hists[:, 0], size).dtype == np.complex64
+    out = corr_same_multi_fft(f_hists, rng.standard_normal((2, 16, 16)), 16)
+    assert out.dtype == np.float32

@@ -256,6 +256,18 @@ def test_splits_disjoint_and_exhaustive(tmp_path):
     assert sum(by_split) == 20
 
 
+@pytest.mark.parametrize("text", [
+    "{bad",
+    "{}",
+    '{"seed": 0, "width": 4, "height": 4, "e_list": [2], "scenes": [{"scene_id": "s0"}]}',
+])
+def test_malformed_dataset_manifest_raises(tmp_path, text):
+    with open(tmp_path / "manifest.json", "w") as fh:
+        fh.write(text)
+    with pytest.raises(DataError, match="manifest.json: malformed manifest"):
+        DatasetManifest.load(str(tmp_path))
+
+
 def test_missing_frame_raises(tmp_path):
     out = str(tmp_path / "d")
     manifest = generate_dataset(out, 4, e_list=(2,), seed=1, spec=SceneSpec(width=24, height=16), splits=(2, 1, 1))
