@@ -8,6 +8,17 @@ corr_same_multi_fft finishes the channel-summed correlation. Its adjoint
 (gradient w.r.t. the kernel) reuses the same padded transforms:
 grad_kernel_from_products(fft_image(img) * fft_flipped(dout)).
 
+The transforms are circular, so they are padded only as far as the kept
+window needs (fft_size), not to the n + k - 1 of a full linear correlation.
+The correlation keeps the window [c, c + n) of a full result of length
+n + k - 1, with c = k - 1 - (k - 1)//2. A circular size S adds full[t] into
+t mod S, so the window is clean iff S >= c + n (no window index lies S past
+index 0) and S >= n + k - 1 - c (none lies S before the last index); the
+first bound is the larger: S >= n + (k - 1) - (k - 1)//2. The kernel gradient
+keeps [n - 1 - (k - 1)//2, + k) of a full result of length 2n - 1, which
+gives the same bound. A 64x64 histogram and filter therefore transform at
+96x96, where a full linear correlation would need 128x128.
+
 The Sobel smoothness penalty has two paths. On a map itself it works by
 explicit shifts (corr_valid_3x3, conv_full_3x3); the full-bias ECCC variant
 penalises its bias this way. On a map given as coefficients x of a linear
@@ -43,10 +54,11 @@ SOBEL_V = SOBEL_U.T.copy()
 
 @lru_cache(maxsize=None)
 def fft_size(n: int, k: int) -> int:
-    """Padded transform size for linear correlation of N x N with K x K: the
-    smallest 2-3-5-smooth integer >= N + K - 1, as scipy.fft.next_fast_len
-    returns it for real transforms."""
-    m = max(n + k - 1, 1)
+    """Transform size for the same-size correlation of N x N with K x K and
+    for its kernel gradient: the smallest 2-3-5-smooth integer
+    >= N + (K - 1) - (K - 1)//2. Smaller circular sizes wrap part of the full
+    correlation into the kept window (module docstring)."""
+    m = max(n + (k - 1) - (k - 1) // 2, 1)
     while True:
         rest = m
         for p in (2, 3, 5):
@@ -78,8 +90,13 @@ def _irfft2_crop(prod: np.ndarray, size: int, start: int, n: int) -> np.ndarray:
 
 
 def fft_image(img: np.ndarray, size: int) -> np.ndarray:
-    """Padded forward transform, cacheable across repeated correlations."""
-    return _fft_lib(img.dtype).rfft2(img, s=(size, size))
+    """Padded forward transform, cacheable across repeated correlations.
+
+    rfft2(img, s=(size, size)) as two passes: the real transform runs on the
+    image's own rows only, and the zero rows enter with the second pass.
+    """
+    fft = _fft_lib(img.dtype)
+    return fft.fft(fft.rfft(img, n=size, axis=-1), n=size, axis=-2)
 
 
 def corr_same_multi_fft(
@@ -111,10 +128,12 @@ def fft_flipped(dout: np.ndarray, size: int) -> np.ndarray:
 
 
 def grad_kernel_from_products(prod: np.ndarray, n: int, ksize: int) -> np.ndarray:
-    """Finish a kernel-gradient: batch-sum frequency products, invert, slice."""
+    """Finish a kernel-gradient: sum frequency products over the leading batch
+    axis, invert what is left, slice. (B, S, Sc) and (S, Sc) give one
+    (K, K) gradient; (B, J, S, Sc) gives (J, K, K) with one inverse."""
     size = fft_size(n, ksize)
     if prod.ndim > 2:
-        prod = prod.reshape(-1, prod.shape[-2], prod.shape[-1]).sum(axis=0)
+        prod = prod.sum(axis=0)
     return _irfft2_crop(prod, size, n - 1 - (ksize - 1) // 2, ksize)
 
 

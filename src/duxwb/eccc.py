@@ -299,10 +299,7 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     else:
         dlogits_t = dlogits
     f_dlogits = fft_flipped(dlogits_t, fft_size(h, h))
-    df_up = np.stack([
-        grad_kernel_from_products(cache["hists_fft"][:, j] * f_dlogits, h, h)
-        for j in range(params.n_filters)
-    ])
+    df_up = grad_kernel_from_products(cache["hists_fft"] * f_dlogits[:, None], h, h)
     grads["filters"] = r.T @ df_up @ r + LAMBDA_FILTER * grad_f_pen
 
     if params.use_def:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duxwb.convops import (
     SOBEL_U,
@@ -128,15 +129,117 @@ def test_smoothness_batched(rng):
 
 
 # ============================================================
-# FFT library contract: numpy.fft in double precision must give scipy.fft's
-# bits and sizes; single precision stays single
+# Transform contract: the padded size holds the same-size window and no more;
+# numpy.fft in double precision gives scipy.fft's bits; single precision
+# stays single
 # ============================================================
 
-def test_fft_size_matches_scipy_next_fast_len():
+def _smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fft_size_is_smallest_smooth_size_holding_the_window():
+    size_of = fft_size.__wrapped__  # uncached: 180k (n, k) pairs
+    for n in range(1, 600):
+        for k in range(1, 601 - n):
+            bound = n + (k - 1) - (k - 1) // 2
+            size = size_of(n, k)
+            assert size >= bound and _smooth(size), (n, k, size)
+            assert not any(_smooth(m) for m in range(bound, size)), (n, k, size)
+
+
+def test_fft_size_at_the_model_sizes():
+    assert [fft_size(n, n) for n in (16, 32, 48, 64, 128)] == [24, 48, 72, 96, 192]
+
+
+def naive_grad_kernel(img, dout, k):
+    """Gradient w.r.t. the kernel of sum(naive_corr_same(img, ker) * dout)."""
+    n = img.shape[0]
+    o = (k - 1) // 2
+    padded = np.zeros((n + 2 * k, n + 2 * k))
+    padded[k:k + n, k:k + n] = img
+    grad = np.empty((k, k))
+    for a in range(k):
+        for b in range(k):
+            grad[a, b] = float((dout * padded[k + a - o:k + a - o + n, k + b - o:k + b - o + n]).sum())
+    return grad
+
+
+def _circular_corr_and_grad(img, ker, dout, size):
+    """Same-size correlation and kernel gradient read from size x size circular
+    correlations, each window taken modulo size."""
+    n, k = img.shape[-1], ker.shape[-1]
+    f_img = fft_image(img, size)
+
+    def window(prod, start, length):
+        full = np.fft.irfft2(prod, s=(size, size))
+        idx = np.arange(start, start + length) % size
+        return full[np.ix_(idx, idx)]
+
+    corr = window(f_img * fft_flipped(ker, size), k - 1 - (k - 1) // 2, n)
+    grad = window(f_img * fft_flipped(dout, size), n - 1 - (k - 1) // 2, k)
+    return corr, grad
+
+
+def test_fft_size_is_minimal_for_the_same_window():
+    """fft_size holds the window exactly; at the next smaller smooth size the
+    circular correlation or its kernel gradient wraps into it."""
+    rng = np.random.default_rng(7)
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            img, ker, dout = rng.standard_normal((n, n)), rng.standard_normal((k, k)), rng.standard_normal((n, n))
+            ref_corr, ref_grad = naive_corr_same(img, ker), naive_grad_kernel(img, dout, k)
+            size = fft_size(n, k)
+            corr, grad = _circular_corr_and_grad(img, ker, dout, size)
+            assert np.abs(corr - ref_corr).max() < 1e-10 and np.abs(grad - ref_grad).max() < 1e-10, (n, k)
+            smaller = max((m for m in range(1, size) if _smooth(m)), default=0)
+            if smaller < max(n, k):
+                continue  # fft_image cannot zero-pad to fewer samples than it is given
+            corr, grad = _circular_corr_and_grad(img, ker, dout, smaller)
+            assert max(np.abs(corr - ref_corr).max(), np.abs(grad - ref_grad).max()) > 1e-6, (n, k)
+
+
+@pytest.mark.parametrize("bins", [8, 16, 48, 64])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 2)])
+def test_single_precision_fft_image_matches_scipy_rfft2_bits(rng, bins, shape):
     sfft = pytest.importorskip("scipy.fft")
-    for total in range(1, 601):
-        for k in (1, (total + 1) // 2):
-            assert fft_size(total - k + 1, k) == sfft.next_fast_len(total, real=True)
+    size = fft_size(bins, bins)
+    img = rng.random(shape + (bins, bins)).astype(np.float32)
+    assert np.array_equal(fft_image(img, size), sfft.rfft2(img, s=(size, size)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), data=st.data())
+def test_same_window_identity_property(n, data):
+    """Production corr_same and grad_kernel equal the spatial oracle for any
+    image size, kernel size (odd or even, up to the image's) and batch."""
+    k = data.draw(st.integers(1, n), label="k")
+    batch = data.draw(st.integers(1, 4), label="batch")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    imgs = rng.standard_normal((batch, n, n))
+    ker = rng.standard_normal((k, k))
+    douts = rng.standard_normal((batch, n, n))
+    out = corr_same(imgs, ker)
+    for b in range(batch):
+        assert np.abs(out[b] - naive_corr_same(imgs[b], ker)).max() < 1e-10
+    ref = sum(naive_grad_kernel(imgs[b], douts[b], k) for b in range(batch))
+    assert np.abs(grad_kernel(imgs, douts, k) - ref).max() < 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grad_kernel_sums_the_batch_axis_only(rng, dtype):
+    """A (B, J, S, Sc) product gives the J gradients the J separate calls give."""
+    n, k = 16, 16
+    size = fft_size(n, k)
+    f_hists = fft_image(rng.random((5, 3, n, n)).astype(dtype), size)
+    f_dout = fft_flipped(rng.standard_normal((5, n, n)).astype(dtype), size)
+    stacked = grad_kernel_from_products(f_hists * f_dout[:, None], n, k)
+    assert stacked.shape == (3, k, k)
+    separate = np.stack([grad_kernel_from_products(f_hists[:, j] * f_dout, n, k) for j in range(3)])
+    assert np.array_equal(stacked, separate)
 
 
 @pytest.mark.parametrize("bins", [12, 16, 32, 48, 64, 128])

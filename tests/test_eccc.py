@@ -12,6 +12,7 @@ from duxwb.eccc import (
     eccc_forward_from_hists,
     hists_for_pair,
     init_eccc,
+    prepare_predictor,
     LAMBDA_BIAS,
     LAMBDA_FILTER,
 )
@@ -130,6 +131,21 @@ def test_forward_conv_path_matches_spatial_oracle(rng):
 
     ref = naive(hists[0], f_up[0]) + naive(hists[1], f_up[1])
     assert np.abs(fast - ref).max() < 1e-5
+
+
+@pytest.mark.parametrize("bins", [16, 32, 64])
+@pytest.mark.parametrize("use_def", [True, False])
+def test_prepared_forward_matches_unprepared(rng, bins, use_def):
+    """prepare_predictor's cached filter transforms change no prediction."""
+    params = init_eccc(bins=bins, n=5, use_def=use_def, seed=3)
+    for _, a in params.tensors().items():
+        a += rng.standard_normal(a.shape) * 0.3
+    hists = np.stack([_random_hists(rng, bins=bins) for _ in range(3)])
+    defs = rng.standard_normal((3, 15)) if use_def else None
+    plain = _forward_batch(params, hists, defs)
+    prepared = _forward_batch(params, hists, defs, prepared=prepare_predictor(params))
+    assert np.abs(prepared["direction"] - plain["direction"]).max() <= 1e-12
+    assert np.abs(prepared["p"] - plain["p"]).max() <= 1e-12
 
 
 def test_softmax_weighted_bias_convexity(rng):
