@@ -14,7 +14,7 @@ analytic and validated against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -99,6 +99,21 @@ class EcccParams:
         else:
             out["full_bias"] = self.full_bias
         return out
+
+    def with_tensors(self, tensors: dict) -> "EcccParams":
+        """The same model on the given arrays, keyed like tensors(); no copies."""
+        mlp = None
+        if self.use_def:
+            mlp = MlpParams.from_tensors(
+                {k[len("mlp_"):]: v for k, v in tensors.items() if k.startswith("mlp_")}, self.mlp.leaky_slope
+            )
+        return replace(
+            self,
+            filters=tensors["filters"],
+            biases=tensors.get("biases"),
+            full_bias=tensors.get("full_bias"),
+            mlp=mlp,
+        )
 
     def copy(self) -> "EcccParams":
         return EcccParams(
@@ -308,7 +323,7 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
         dw = np.einsum("njk,bjk->bn", params.biases, db_small)
         w = cache["w"]
         dlogits_w = w * (dw - (w * dw).sum(axis=1, keepdims=True))
-        mlp_grads, _ = mlp_backward(params.mlp, cache["trace"], dlogits_w)
+        mlp_grads = mlp_backward(params.mlp, cache["trace"], dlogits_w)
         for name, arr in mlp_grads.items():
             grads[f"mlp_{name}"] = arr
     else:

@@ -116,10 +116,6 @@ def init_mlp(
 # Forward / backward
 # ============================================================
 
-def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z >= 0.0, z, slope * z)
-
-
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Raw (pre-normalization) outputs; accepts (d_in,) or (batch, d_in)."""
     y, _ = mlp_forward_trace(params, x)
@@ -127,75 +123,92 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward_trace(params: MlpParams, x: np.ndarray):
-    """Forward pass keeping pre-activations for the backward pass."""
+    """Forward pass keeping what the backward pass needs.
+
+    The trace holds each layer's input ("a", four arrays) and each hidden
+    layer's LeakyReLU derivative ("slope": 1 where z >= 0, else the leaky
+    slope). The activation is z times that derivative, which equals
+    where(z >= 0, z, slope * z) bit for bit, so the mask is formed once.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     a = x[np.newaxis, :] if single else x
     if a.shape[1] != params.d_in:
         raise DomainError(f"input width {a.shape[1]} != expected {params.d_in}")
-    trace = {"a0": a, "z": [], "a": []}
+    inputs, slopes = [a], []
     for i in range(3):
         z = a @ params.weights[i].T + params.biases[i]
-        a = _leaky(z, params.leaky_slope)
-        trace["z"].append(z)
-        trace["a"].append(a)
+        d = np.where(z >= 0.0, 1.0, params.leaky_slope)
+        a = z * d
+        slopes.append(d)
+        inputs.append(a)
     y = a @ params.weights[3].T + params.biases[3]
-    trace["single"] = single
+    trace = {"a": inputs, "slope": slopes, "single": single}
     return (y[0] if single else y), trace
 
 
-def mlp_backward(params: MlpParams, trace: dict, dout: np.ndarray):
-    """Gradients of a scalar loss given d(loss)/d(raw outputs).
-
-    Returns (grads dict keyed like tensors(), d(loss)/d(input)).
-    """
+def mlp_backward(params: MlpParams, trace: dict, dout: np.ndarray) -> dict:
+    """Gradients of a scalar loss given d(loss)/d(raw outputs), keyed like tensors()."""
     dout = np.asarray(dout, dtype=np.float64)
     if trace["single"]:
         dout = dout[np.newaxis, :]
-    grads = {}
-    grads["w4"] = dout.T @ trace["a"][2]
-    grads["b4"] = dout.sum(axis=0)
+    a, slopes = trace["a"], trace["slope"]
+    grads = {"w4": dout.T @ a[3], "b4": dout.sum(axis=0)}
     da = dout @ params.weights[3]
     for i in (2, 1, 0):
-        z = trace["z"][i]
-        dz = da * np.where(z >= 0.0, 1.0, params.leaky_slope)
-        a_prev = trace["a"][i - 1] if i > 0 else trace["a0"]
-        grads[f"w{i + 1}"] = dz.T @ a_prev
+        dz = da * slopes[i]
+        grads[f"w{i + 1}"] = dz.T @ a[i]
         grads[f"b{i + 1}"] = dz.sum(axis=0)
-        da = dz @ params.weights[i]
-    dx = da[0] if trace["single"] else da
-    return grads, dx
+        if i:  # no caller needs the gradient w.r.t. the input
+            da = dz @ params.weights[i]
+    return grads
 
 
 # ============================================================
 # Angular loss
 # ============================================================
 
-def angular_loss_batch(raw: np.ndarray, gts: np.ndarray):
-    """Per-sample angular error (degrees) and its gradient w.r.t. raw outputs.
-
-    Rows with a degenerate raw output (norm < 1e-12) are flagged invalid and
-    excluded: their loss is reported as nan and their gradient as zero.
-    """
-    raw = np.atleast_2d(np.asarray(raw, dtype=np.float64))
+def unit_rows(gts: np.ndarray) -> np.ndarray:
+    """Ground truths scaled to unit rows; a zero row raises DomainError."""
     gts = np.atleast_2d(np.asarray(gts, dtype=np.float64))
     gt_norm = np.linalg.norm(gts, axis=1)
     if np.any(gt_norm < 1e-12):
         raise DomainError("ground-truth illuminant must be nonzero")
-    ghat = gts / gt_norm[:, np.newaxis]
-    norms = np.linalg.norm(raw, axis=1)
+    return gts / gt_norm[:, np.newaxis]
+
+
+def angular_loss_batch(raw: np.ndarray, gts: np.ndarray):
+    """Per-sample angular error (degrees) and its gradient w.r.t. raw outputs.
+
+    Normalizes the ground truths on every call (unit_rows) and defers to
+    angular_loss_unit; a loop over fixed ground truths normalizes them once
+    and calls the core directly, with the same bits.
+    """
+    return angular_loss_unit(np.atleast_2d(np.asarray(raw, dtype=np.float64)), unit_rows(gts))
+
+
+def angular_loss_unit(raw: np.ndarray, ghat: np.ndarray):
+    """angular_loss_batch for (B, 3) float64 raw outputs and unit-row ground truths.
+
+    Rows with a degenerate raw output (norm < 1e-12) are flagged invalid and
+    excluded: their loss is reported as nan and their gradient as zero.
+    Returns (loss, d loss / d raw, valid).
+    """
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1))  # np.linalg.norm's own formula
     valid = norms >= 1e-12
-    safe = np.where(valid, norms, 1.0)
+    all_valid = valid.all()
+    safe = norms if all_valid else np.where(valid, norms, 1.0)
     cos = np.einsum("ij,ij->i", raw, ghat) / safe
-    cos_c = np.clip(cos, -1.0, 1.0)
+    cos_c = np.minimum(np.maximum(cos, -1.0), 1.0)
     loss = np.degrees(np.arccos(cos_c))
-    loss[~valid] = np.nan
     # d(deg)/d(raw) = -(180/pi) / sqrt(1 - c^2) * (ghat - c * rhat) / ||raw||
-    cg = np.clip(cos, -COS_CLAMP, COS_CLAMP)
+    cg = np.minimum(np.maximum(cos, -COS_CLAMP), COS_CLAMP)
     factor = -_DEG / np.sqrt(1.0 - cg * cg)
     rhat = raw / safe[:, np.newaxis]
     draw = factor[:, np.newaxis] * (ghat - cos_c[:, np.newaxis] * rhat) / safe[:, np.newaxis]
-    draw[~valid] = 0.0
+    if not all_valid:
+        loss[~valid] = np.nan
+        draw[~valid] = 0.0
     return loss, draw, valid
 
 
@@ -249,5 +262,5 @@ def emlp_backward(params: MlpParams, feature: np.ndarray, gt) -> tuple:
     loss, draw, valid = angular_loss_batch(raw, gt_vec)
     if not valid[0]:
         raise DegenerateOutputError("EMLP produced a near-zero output vector")
-    grads, _ = mlp_backward(params, trace, draw[0])
+    grads = mlp_backward(params, trace, draw[0])
     return float(loss[0]), grads

@@ -20,7 +20,7 @@ from .core import DualExposurePair, Illuminant, RawImage
 from .eccc import EcccParams, _backward_batch, _forward_batch, init_eccc
 from .errors import DomainError
 from .histogram import CHROMA_MIN, CHROMA_MAX
-from .mlp import MlpParams, angular_loss_batch, emlp_init, mlp_backward, mlp_forward_trace
+from .mlp import MlpParams, angular_loss_unit, emlp_init, mlp_backward, mlp_forward_trace, unit_rows
 
 # ============================================================
 # Adam
@@ -28,8 +28,16 @@ from .mlp import MlpParams, angular_loss_batch, emlp_init, mlp_backward, mlp_for
 
 @dataclass
 class AdamState:
-    """Moments of all tensors as one flat vector each (Adam is elementwise), plus the step counter."""
+    """Adam's state, including the parameters it trains.
 
+    Adam owns the parameters: adam_init copies the given tensors into one flat
+    float64 vector, and tensors() hands out per-tensor views of it for the
+    model to compute with. Both moments are flat vectors over the same
+    layout. Adam and decoupled weight decay are elementwise, so each update
+    is a handful of whole-vector operations whatever the tensor count.
+    """
+
+    params: np.ndarray
     m: np.ndarray
     v: np.ndarray
     layout: dict  # tensor name -> (slice, shape), in the params dict's order
@@ -41,22 +49,30 @@ class AdamState:
     weight_decay: float = 0.0
     rejected: int = 0  # steps skipped because a gradient was non-finite
 
+    def tensors(self) -> dict:
+        """Views of the flat parameter vector, keyed and shaped like adam_init's input."""
+        return {k: self.params[sl].reshape(shape) for k, (sl, shape) in self.layout.items()}
+
 
 def adam_init(params: dict, lr: float, weight_decay: float = 0.0) -> AdamState:
+    """State for training `params` (name -> array); the arrays are copied, not updated."""
     layout, n = {}, 0
     for k, p in params.items():
         layout[k] = (slice(n, n + p.size), p.shape)
         n += p.size
-    return AdamState(m=np.zeros(n), v=np.zeros(n), layout=layout, lr=lr, weight_decay=weight_decay)
+    flat = np.empty(n)
+    for k, (sl, _) in layout.items():
+        flat[sl] = np.ravel(params[k])
+    return AdamState(params=flat, m=np.zeros(n), v=np.zeros(n), layout=layout, lr=lr, weight_decay=weight_decay)
 
 
-def adam_step(state: AdamState, params: dict, grads: dict, lr: Optional[float] = None) -> bool:
-    """One in-place update; returns False (and counts) on non-finite gradients.
+def adam_step(state: AdamState, grads: dict, lr: Optional[float] = None) -> bool:
+    """One in-place update of state.params; returns False (and counts) on non-finite gradients.
 
     Weight decay is decoupled from the moment estimates.
     """
     g = np.concatenate([grads[k] for k in state.layout], axis=None)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         state.rejected += 1
         return False
     rate = state.lr if lr is None else lr
@@ -65,11 +81,9 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: Optional[float] =
     c2 = 1.0 - state.beta2 ** state.step
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    step = rate * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
-    for k, (sl, shape) in state.layout.items():
-        params[k] -= step[sl].reshape(shape)
-        if state.weight_decay > 0.0:
-            params[k] -= rate * state.weight_decay * params[k]
+    state.params -= rate * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    if state.weight_decay > 0.0:
+        state.params -= rate * state.weight_decay * state.params
     return True
 
 
@@ -293,16 +307,22 @@ def train_emlp(
     cfg: TrainConfig,
     params: Optional[MlpParams] = None,
 ) -> tuple:
-    """Train the MLP estimator on precomputed features; returns (params, result)."""
+    """Train the MLP estimator on precomputed features; returns (params, result).
+
+    Given `params` are the starting point and are copied into the optimizer
+    (adam_init); the caller's arrays are left as they were. The returned
+    params are views of the optimizer's flat vector, or the last good epoch's
+    copy after an abort.
+    """
     cfg = cfg.resolved()
     x = np.asarray(features, dtype=np.float64)
-    g = np.asarray(gts, dtype=np.float64)
     if len(x) == 0:
         raise DomainError("training set is empty")
+    ghat = unit_rows(gts)  # row norms do not depend on the batch
     if params is None:
         params = emlp_init(d_in=x.shape[1], seed=cfg.seed)
-    tensors = params.tensors()
-    state = adam_init(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    state = adam_init(params.tensors(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    params = MlpParams.from_tensors(state.tensors(), leaky_slope=params.leaky_slope)
     rng = np.random.default_rng(cfg.seed)
     log: List[TrainLogRow] = []
     last_good = params.copy()
@@ -316,16 +336,16 @@ def train_emlp(
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             raw, trace = mlp_forward_trace(params, x[idx])
-            loss, draw, valid = angular_loss_batch(raw, g[idx])
+            loss, draw, valid = angular_loss_unit(raw, ghat[idx])
             n_valid = int(np.count_nonzero(valid))
             if n_valid == 0:
                 skipped += 1
                 continue
-            grads, _ = mlp_backward(params, trace, draw / n_valid)
-            if not adam_step(state, tensors, grads):
+            grads = mlp_backward(params, trace, draw / n_valid)
+            if not adam_step(state, grads):
                 skipped += 1
                 continue
-            sum_loss += float(np.nansum(loss))
+            sum_loss += float(loss.sum() if n_valid == len(loss) else np.nansum(loss))
             count += n_valid
         mean_loss = sum_loss / count if count else float("nan")
         log.append(TrainLogRow(epoch, "train", mean_loss, 0.0, cfg.lr, cfg.batch_size))
@@ -346,7 +366,8 @@ def train_eccc(
 ) -> tuple:
     """Train the convolutional estimator on precomputed unit-mass histograms.
 
-    hists: (N, J, h, h); features: (N, d) or None when use_def is off.
+    hists: (N, J, h, h); features: (N, d) or None when use_def is off. As in
+    train_emlp, given `params` are copied into the optimizer, not updated.
     """
     cfg = cfg.resolved()
     g = np.asarray(gts, dtype=np.float64)
@@ -366,8 +387,8 @@ def train_eccc(
             seed=cfg.seed,
             biases=bank,
         )
-    tensors = params.tensors()
-    state = adam_init(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    state = adam_init(params.tensors(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    params = params.with_tensors(state.tensors())
     rng = np.random.default_rng(cfg.seed)
     log: List[TrainLogRow] = []
     last_good = params.copy()
@@ -392,7 +413,7 @@ def train_eccc(
                 hists_fft=hists_fft[idx],
             )
             loss, grads, parts = _backward_batch(params, cache, g[idx])
-            if not adam_step(state, tensors, grads, lr=lr):
+            if not adam_step(state, grads, lr=lr):
                 skipped += 1
                 continue
             sum_loss += loss

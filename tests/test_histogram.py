@@ -114,3 +114,60 @@ def test_gray_pixel_maps_to_illuminant_bin():
     iu = int(np.floor((u - CHROMA_MIN) / eps))
     iv = int(np.floor((v - CHROMA_MIN) / eps))
     assert hist.mass[iu, iv] == hist.total_mass
+
+
+def _reference_histogram(img: RawImage, bins: int):
+    """build_histogram's formula with the masking copies taken on every frame."""
+    m = img.as_matrix()
+    r, g, b = m[0], m[1], m[2]
+    valid = (r > 0.0) & (g > 0.0) & (b > 0.0)
+    skipped = int(m.shape[1] - np.count_nonzero(valid))
+    if not valid.any():
+        return np.zeros((bins, bins)), skipped
+    safe_r = np.where(valid, r, 1.0)
+    safe_g = np.where(valid, g, 1.0)
+    safe_b = np.where(valid, b, 1.0)
+    inv_eps = 1.0 / bin_width(bins)
+    iu = np.clip(((np.log(safe_g / safe_r) - CHROMA_MIN) * inv_eps).astype(np.intp), 0, bins - 1)
+    iv = np.clip(((np.log(safe_g / safe_b) - CHROMA_MIN) * inv_eps).astype(np.intp), 0, bins - 1)
+    w = np.sqrt(r * r + g * g + b * b) * valid
+    return np.bincount(iu * bins + iv, weights=w, minlength=bins * bins).reshape(bins, bins), skipped
+
+
+def _frame(kind: str) -> RawImage:
+    rng = np.random.default_rng(7)
+    data = rng.uniform(0.0, 1.0, size=(3, 48, 40)) ** 3  # wide chroma range, edge bins included
+    data[data == 0.0] = 1e-9
+    # pixels within a few ulps of every 64-bin edge in u and in v (the 16-bin
+    # edges are among them): a reordered formula moves some across an edge
+    edges = np.linspace(CHROMA_MIN, CHROMA_MAX, 65)
+    near = (np.exp(-edges)[:, None] * (1.0 + np.arange(-4, 5) * 2.2e-16)).ravel()
+    flat = data.reshape(3, -1)
+    flat[1, :near.size] = 0.05
+    flat[0, :near.size] = 0.05 * near
+    flat[2, :near.size] = 0.05 * near[::-1]
+    if kind == "invalid_18pct":
+        dark = rng.uniform(size=(48, 40)) < 0.18
+        data[rng.integers(0, 3, size=int(dark.sum())), dark] = 0.0
+    elif kind == "one_valid":
+        data[1] = 0.0
+        data[1, 5, 7] = 0.3
+    elif kind == "none_valid":
+        data[2] = 0.0
+    return RawImage(data)
+
+
+@pytest.mark.parametrize("bins", [16, 64])
+@pytest.mark.parametrize("kind", ["all_valid", "invalid_18pct", "one_valid", "none_valid"])
+def test_histogram_matches_masked_formula_bitwise(kind, bins):
+    img = _frame(kind)
+    hist = build_histogram(img, bins)
+    mass, skipped = _reference_histogram(img, bins)
+    assert np.array_equal(hist.mass, mass)
+    assert hist.skipped == skipped
+    n = img.as_matrix().shape[1]
+    expected_skipped = {"all_valid": 0, "one_valid": n - 1, "none_valid": n}.get(kind)
+    if expected_skipped is None:
+        assert 0.15 * n < skipped < 0.21 * n
+    else:
+        assert skipped == expected_skipped

@@ -5,6 +5,7 @@ from duxwb.errors import DegenerateOutputError, DomainError
 from duxwb.mlp import (
     MlpParams,
     angular_loss_batch,
+    angular_loss_unit,
     count_params,
     emlp_backward,
     emlp_forward,
@@ -14,6 +15,7 @@ from duxwb.mlp import (
     mlp_backward,
     mlp_forward,
     mlp_forward_trace,
+    unit_rows,
 )
 from duxwb.training import adam_init, adam_step
 
@@ -177,11 +179,11 @@ def test_overfit_single_sample():
     x = rng.standard_normal(15)
     gt = np.array([0.9, 0.7, 0.3])
     initial, _ = emlp_backward(params, x, gt)
-    tensors = params.tensors()
-    state = adam_init(tensors, lr=1e-2)
+    state = adam_init(params.tensors(), lr=1e-2)
+    params = MlpParams.from_tensors(state.tensors())
     for _ in range(100):
         _, grads = emlp_backward(params, x, gt)
-        adam_step(state, tensors, grads)
+        adam_step(state, grads)
     final, _ = emlp_backward(params, x, gt)
     assert final < 0.1 * initial
 
@@ -220,7 +222,7 @@ def test_batch_gradient_is_sum_of_singles(rng):
     gts = np.abs(rng.standard_normal((4, 3))) + 0.1
     raw, trace = mlp_forward_trace(params, xs)
     _, draw, _ = angular_loss_batch(raw, gts)
-    batch_grads, _ = mlp_backward(params, trace, draw)
+    batch_grads = mlp_backward(params, trace, draw)
     singles = None
     for i in range(4):
         _, g = emlp_backward(params, xs[i], gts[i])
@@ -236,6 +238,43 @@ def test_angular_loss_flags_degenerate_rows():
     assert valid[0] and not valid[1]
     assert np.isnan(loss[1])
     assert np.all(draw[1] == 0.0)
+
+
+def test_angular_loss_zero_row_leaves_the_others_unchanged(rng):
+    raw = rng.standard_normal((7, 3))
+    gts = np.abs(rng.standard_normal((7, 3))) + 0.1
+    raw[3] = 0.0
+    loss, draw, valid = angular_loss_batch(raw, gts)
+    assert valid.tolist() == [True, True, True, False, True, True, True]
+    assert np.isnan(loss[3]) and np.all(draw[3] == 0.0)
+    loss_ok, draw_ok, valid_ok = angular_loss_batch(raw[valid], gts[valid])
+    assert valid_ok.all()
+    assert np.array_equal(loss[valid], loss_ok)
+    assert np.array_equal(draw[valid], draw_ok)
+
+
+def test_angular_loss_core_matches_normalizing_wrapper_bitwise(rng):
+    raw = rng.standard_normal((32, 3))
+    gts = np.abs(rng.standard_normal((32, 3))) + 0.1
+    raw[:4] = 3.0 * gts[:4]  # zero error: the acos gradient clamp is active
+    raw[4] = -gts[4]         # antipodal: cos clips at -1
+    full = angular_loss_batch(raw, gts)
+    assert full[2].all()
+    for a, b in zip(full, angular_loss_unit(raw, unit_rows(gts))):
+        assert np.array_equal(a, b)
+    # normalizing a whole set once gives each batch the bits it would get alone
+    idx = rng.permutation(32)[:10]
+    assert np.array_equal(unit_rows(gts)[idx], unit_rows(gts[idx]))
+    for a, b in zip(angular_loss_batch(raw[idx], gts[idx]), angular_loss_unit(raw[idx], unit_rows(gts)[idx])):
+        assert np.array_equal(a, b)
+
+
+def test_angular_loss_rejects_zero_ground_truth():
+    raw = np.ones((2, 3))
+    with pytest.raises(DomainError):
+        angular_loss_batch(raw, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(DomainError):
+        unit_rows(np.zeros(3))
 
 
 def test_init_mlp_out_dim():

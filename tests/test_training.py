@@ -1,13 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from duxwb import training
+from duxwb.convops import fft_image, fft_size
 from duxwb.core import DualExposurePair, Illuminant, RawImage, angular_error
+from duxwb.eccc import _backward_batch, _forward_batch, init_eccc
 from duxwb.errors import DomainError
-from duxwb.mlp import emlp_init, mlp_forward
+from duxwb.mlp import COS_CLAMP, emlp_init, mlp_forward
 from duxwb.pipeline import build_feature_set
 from duxwb.synth import SceneSpec, generate_dataset
 from duxwb.training import (
     TrainConfig,
+    _eccc_batch_size,
     adam_init,
     adam_step,
     cosine_lr,
@@ -29,43 +35,43 @@ from conftest import random_image
 # ============================================================
 
 def test_adam_zero_gradients_fixed_point():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    state = adam_init(params, lr=1e-2)
-    ok = adam_step(state, params, {"w": np.zeros(3)})
+    state = adam_init({"w": np.array([1.0, -2.0, 3.0])}, lr=1e-2)
+    params = state.tensors()
+    ok = adam_step(state, {"w": np.zeros(3)})
     assert ok
     assert np.array_equal(params["w"], [1.0, -2.0, 3.0])
 
 
 def test_adam_weight_decay_shrinks():
-    params = {"w": np.array([1.0])}
-    state = adam_init(params, lr=0.1, weight_decay=0.5)
-    adam_step(state, params, {"w": np.zeros(1)})
+    state = adam_init({"w": np.array([1.0])}, lr=0.1, weight_decay=0.5)
+    params = state.tensors()
+    adam_step(state, {"w": np.zeros(1)})
     assert params["w"][0] == pytest.approx(1.0 - 0.1 * 0.5)
 
 
 def test_adam_first_step_is_signed_lr():
-    params = {"w": np.array([0.0])}
-    state = adam_init(params, lr=1e-3)
+    state = adam_init({"w": np.array([0.0])}, lr=1e-3)
+    params = state.tensors()
     g = 0.37
-    adam_step(state, params, {"w": np.array([g])})
+    adam_step(state, {"w": np.array([g])})
     # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr
     assert params["w"][0] == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adam_quadratic_bowl_convergence():
-    params = {"x": np.array([1.0])}
-    state = adam_init(params, lr=1e-2)
+    state = adam_init({"x": np.array([1.0])}, lr=1e-2)
+    params = state.tensors()
     for _ in range(500):
-        adam_step(state, params, {"x": 2.0 * params["x"]})
+        adam_step(state, {"x": 2.0 * params["x"]})
     assert abs(params["x"][0]) < 1e-3
 
 
 def test_adam_matches_textbook_trajectory():
-    params = {"x": np.array([3.0])}
-    state = adam_init(params, lr=1e-2)
+    state = adam_init({"x": np.array([3.0])}, lr=1e-2)
+    params = state.tensors()
     x, m, v = 3.0, 0.0, 0.0
     for t in range(1, 101):
-        adam_step(state, params, {"x": 2.0 * params["x"]})
+        adam_step(state, {"x": 2.0 * params["x"]})
         g = 2.0 * x
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
@@ -74,9 +80,9 @@ def test_adam_matches_textbook_trajectory():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = {"w": np.array([1.0])}
-    state = adam_init(params, lr=1e-2)
-    ok = adam_step(state, params, {"w": np.array([np.nan])})
+    state = adam_init({"w": np.array([1.0])}, lr=1e-2)
+    params = state.tensors()
+    ok = adam_step(state, {"w": np.array([np.nan])})
     assert not ok
     assert state.rejected == 1
     assert params["w"][0] == 1.0
@@ -112,15 +118,15 @@ _MIXED_SHAPES = {"w": (9, 15), "b": (9,), "maps": (2, 16, 16), "s": (1,)}
 @pytest.mark.parametrize("lr_override", [False, True])
 def test_flat_adam_matches_per_tensor_reference_bitwise(weight_decay, lr_override):
     rng = np.random.default_rng(11)
-    params = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
-    ref_params = {k: p.copy() for k, p in params.items()}
-    state = adam_init(params, lr=1e-2, weight_decay=weight_decay)
+    ref_params = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
+    state = adam_init(ref_params, lr=1e-2, weight_decay=weight_decay)
+    params = state.tensors()
     ref = {"m": {k: np.zeros_like(p) for k, p in params.items()},
            "v": {k: np.zeros_like(p) for k, p in params.items()}, "step": 0, "wd": weight_decay}
     for t in range(50):
         grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for k, shape in _MIXED_SHAPES.items()}
         lr = 5e-3 * (1 + np.cos(t)) if lr_override else None
-        assert adam_step(state, params, grads, lr=lr)
+        assert adam_step(state, grads, lr=lr)
         assert _reference_adam_step(ref, ref_params, grads, lr=lr)
     assert state.step == ref["step"] == 50
     for k, (sl, shape) in state.layout.items():
@@ -131,15 +137,15 @@ def test_flat_adam_matches_per_tensor_reference_bitwise(weight_decay, lr_overrid
 
 def test_adam_nan_in_one_tensor_rejects_the_whole_step():
     rng = np.random.default_rng(12)
-    params = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
-    state = adam_init(params, lr=1e-2, weight_decay=1e-2)
+    state = adam_init({k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}, lr=1e-2, weight_decay=1e-2)
+    params = state.tensors()
     grads = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
-    assert adam_step(state, params, grads)
+    assert adam_step(state, grads)
     before = {k: p.copy() for k, p in params.items()}
     m, v = state.m.copy(), state.v.copy()
     bad = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
     bad["maps"][1, 7, 3] = np.nan
-    assert not adam_step(state, params, bad)
+    assert not adam_step(state, bad)
     assert state.rejected == 1 and state.step == 1
     assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
     for k in params:
@@ -386,6 +392,187 @@ def test_eccc_incremental_batch_schedule(rng):
 def test_train_empty_dataset_raises():
     with pytest.raises(DomainError):
         train_emlp(np.zeros((0, 15)), np.zeros((0, 3)), TrainConfig(model="emlp", epochs=1))
+
+
+def test_train_emlp_zero_ground_truth_raises():
+    gts = np.ones((5, 3))
+    gts[2] = 0.0
+    with pytest.raises(DomainError):
+        train_emlp(np.ones((5, 15)), gts, TrainConfig(model="emlp", epochs=1))
+
+
+def test_train_emlp_copies_given_params(rng):
+    params = emlp_init(15, seed=5)
+    before = [t.copy() for t in params.tensors().values()]
+    trained, _ = train_emlp(rng.standard_normal((20, 15)), np.abs(rng.standard_normal((20, 3))) + 0.2,
+                            TrainConfig(model="emlp", epochs=3, seed=5), params=params)
+    for a, b in zip(params.tensors().values(), before):
+        assert np.array_equal(a, b)
+    assert any(not np.array_equal(a, b) for a, b in zip(trained.tensors().values(), before))
+
+
+# ============================================================
+# Training loops against the per-tensor reference, bit for bit
+# ============================================================
+
+def _reference_forward(params, x):
+    """MLP forward with LeakyReLU as np.where; keeps pre-activations."""
+    a, zs = [x], []
+    for i in range(3):
+        z = a[-1] @ params.weights[i].T + params.biases[i]
+        zs.append(z)
+        a.append(np.where(z >= 0.0, z, params.leaky_slope * z))
+    return a[-1] @ params.weights[3].T + params.biases[3], a, zs
+
+
+def _reference_backward(params, a, zs, dout):
+    """MLP backward that recomputes the LeakyReLU mask from the pre-activations."""
+    grads = {"w4": dout.T @ a[3], "b4": dout.sum(axis=0)}
+    da = dout @ params.weights[3]
+    for i in (2, 1, 0):
+        dz = da * np.where(zs[i] >= 0.0, 1.0, params.leaky_slope)
+        grads[f"w{i + 1}"] = dz.T @ a[i]
+        grads[f"b{i + 1}"] = dz.sum(axis=0)
+        da = dz @ params.weights[i]
+    return grads
+
+
+def _reference_angular_loss(raw, gts):
+    """Angular loss normalizing the batch's ground truths, with np.clip and
+    unconditional masking of degenerate rows."""
+    ghat = gts / np.linalg.norm(gts, axis=1)[:, np.newaxis]
+    norms = np.linalg.norm(raw, axis=1)
+    valid = norms >= 1e-12
+    safe = np.where(valid, norms, 1.0)
+    cos = np.einsum("ij,ij->i", raw, ghat) / safe
+    cos_c = np.clip(cos, -1.0, 1.0)
+    loss = np.degrees(np.arccos(cos_c))
+    loss[~valid] = np.nan
+    cg = np.clip(cos, -COS_CLAMP, COS_CLAMP)
+    factor = -(180.0 / np.pi) / np.sqrt(1.0 - cg * cg)
+    rhat = raw / safe[:, np.newaxis]
+    draw = factor[:, np.newaxis] * (ghat - cos_c[:, np.newaxis] * rhat) / safe[:, np.newaxis]
+    draw[~valid] = 0.0
+    return loss, draw, valid
+
+
+def _reference_state(tensors, weight_decay):
+    return {"m": {k: np.zeros_like(p) for k, p in tensors.items()},
+            "v": {k: np.zeros_like(p) for k, p in tensors.items()}, "step": 0, "wd": weight_decay}
+
+
+def _reference_train_emlp(x, gts, cfg):
+    cfg = cfg.resolved()
+    params = emlp_init(d_in=x.shape[1], seed=cfg.seed)
+    tensors = params.tensors()
+    state = _reference_state(tensors, cfg.weight_decay)
+    rng = np.random.default_rng(cfg.seed)
+    log = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        sum_loss, count = 0.0, 0
+        for start in range(0, len(x), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            raw, a, zs = _reference_forward(params, x[idx])
+            loss, draw, valid = _reference_angular_loss(raw, gts[idx])
+            n_valid = int(np.count_nonzero(valid))
+            assert _reference_adam_step(state, tensors, _reference_backward(params, a, zs, draw / n_valid), lr=cfg.lr)
+            sum_loss += float(np.nansum(loss))
+            count += n_valid
+        log.append(sum_loss / count)
+    return tensors, log
+
+
+def _reference_train_eccc(hists, feats, gts, cfg):
+    cfg = cfg.resolved()
+    bank = None
+    if cfg.use_def and cfg.bias_init:
+        bank, _ = init_eccc_biases(feats, gts, cfg.n_biases, cfg.hist_bins, seed=cfg.seed)
+    params = init_eccc(bins=cfg.hist_bins, n=cfg.n_biases, variant=cfg.variant, use_def=cfg.use_def,
+                       def_dim=15, seed=cfg.seed, biases=bank)
+    tensors = params.tensors()
+    state = _reference_state(tensors, cfg.weight_decay)
+    rng = np.random.default_rng(cfg.seed)
+    hists_fft = fft_image(hists.astype(np.float32), fft_size(cfg.hist_bins, cfg.hist_bins))
+    log = []
+    for epoch in range(cfg.epochs):
+        lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
+        bs = _eccc_batch_size(epoch, cfg.epochs)
+        order = rng.permutation(len(gts))
+        sum_loss, sum_smooth, batches = 0.0, 0.0, 0
+        for start in range(0, len(gts), bs):
+            idx = order[start:start + bs]
+            cache = _forward_batch(params, defs=None if feats is None else feats[idx], hists_fft=hists_fft[idx])
+            loss, grads, parts = _backward_batch(params, cache, gts[idx])
+            assert _reference_adam_step(state, tensors, grads, lr=lr)
+            sum_loss += loss
+            sum_smooth += parts["smooth_bias_mean"] + parts["smooth_filter"]
+            batches += 1
+        log.append((sum_loss / batches, sum_smooth / batches))
+    return tensors, log
+
+
+def _assert_same_tensors(got: dict, want: dict):
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].shape == want[k].shape
+        assert np.array_equal(got[k], want[k]), k
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_train_emlp_matches_per_tensor_reference_bitwise(weight_decay):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((100, 15))  # 32 + 32 + 32 + 4 per epoch
+    gts = (np.abs(rng.standard_normal((100, 3))) + 0.2) * rng.uniform(0.5, 3.0, (100, 1))
+    cfg = TrainConfig(model="emlp", epochs=12, seed=4, weight_decay=weight_decay)
+    params, result = train_emlp(x, gts, cfg)
+    want, want_log = _reference_train_emlp(x, gts, cfg)
+    _assert_same_tensors(params.tensors(), want)
+    _assert_same_tensors(result.tensors, want)
+    assert np.array_equal([row.loss_mean_deg for row in result.log], want_log)
+    assert result.skipped_steps == 0 and not result.aborted
+
+
+@pytest.mark.parametrize("use_def,weight_decay", [(True, -1.0), (False, 1e-3)])
+def test_train_eccc_matches_per_tensor_reference_bitwise(use_def, weight_decay):
+    rng = np.random.default_rng(22)
+    n, bins = 36, 32
+    hists = np.abs(rng.standard_normal((n, 2, bins, bins))) + 1e-3
+    hists /= hists.sum(axis=(2, 3), keepdims=True)
+    feats = rng.standard_normal((n, 15)) if use_def else None
+    gts = np.abs(rng.standard_normal((n, 3))) + 0.2
+    cfg = TrainConfig(model="eccc", epochs=6, n_biases=3, hist_bins=bins, seed=3, use_def=use_def,
+                      weight_decay=weight_decay)
+    params, result = train_eccc(hists, feats, gts, cfg)
+    want, want_log = _reference_train_eccc(hists, feats, gts, cfg)
+    _assert_same_tensors(params.tensors(), want)
+    assert np.array_equal([(row.loss_mean_deg, row.smoothness_terms) for row in result.log], want_log)
+
+
+def test_training_calls_each_traced_lookup_once_per_step(monkeypatch, rng):
+    """The training loops reach these functions through the training module,
+    once per step; tracing tools patch them there and count steps by them."""
+    counts = Counter()
+    names = ("mlp_forward_trace", "mlp_backward", "adam_step", "_forward_batch", "_backward_batch")
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(training, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(training, name, counted)
+
+    # 70 samples at batch 32: 3 steps per epoch
+    train_emlp(rng.standard_normal((70, 15)), np.abs(rng.standard_normal((70, 3))) + 0.2,
+               TrainConfig(model="emlp", epochs=4, seed=0))
+    assert counts == {"mlp_forward_trace": 12, "mlp_backward": 12, "adam_step": 12}
+
+    # 40 scenes over 6 epochs at batch 16, 16, 32, 32, 64, 64: 3 + 3 + 2 + 2 + 1 + 1 steps
+    counts.clear()
+    bins = 16
+    hists = np.abs(rng.standard_normal((40, 2, bins, bins))) + 1e-3
+    hists /= hists.sum(axis=(2, 3), keepdims=True)
+    train_eccc(hists, rng.standard_normal((40, 15)), np.abs(rng.standard_normal((40, 3))) + 0.2,
+               TrainConfig(model="eccc", epochs=6, n_biases=2, hist_bins=bins, seed=0))
+    assert counts == {"_forward_batch": 12, "_backward_batch": 12, "adam_step": 12}
 
 
 # ============================================================
