@@ -14,7 +14,7 @@ analytic and validated against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -32,7 +32,7 @@ from .convops import (
 )
 from .errors import DegenerateOutputError, DomainError
 from .histogram import DEFAULT_BINS, bin_centers, build_histogram
-from .mlp import MlpParams, angular_loss_batch, count_params as mlp_count_params, init_mlp, mlp_backward, mlp_forward_trace
+from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, angular_loss_batch, count_params as mlp_count_params, init_mlp, mlp_backward, mlp_forward_trace
 
 VARIANTS = ("both", "avg", "short", "long")
 LAMBDA_BIAS = 0.01
@@ -100,19 +100,29 @@ class EcccParams:
             out["full_bias"] = self.full_bias
         return out
 
-    def with_tensors(self, tensors: dict) -> "EcccParams":
-        """The same model on the given arrays, keyed like tensors(); no copies."""
+    @classmethod
+    def from_tensors(
+        cls,
+        tensors: dict,
+        bins: int,
+        variant: str,
+        use_def: bool,
+        leaky_slope: float = DEFAULT_LEAKY_SLOPE,
+    ) -> "EcccParams":
+        """The model on the given arrays, keyed like tensors(); no copies."""
         mlp = None
-        if self.use_def:
+        if use_def:
             mlp = MlpParams.from_tensors(
-                {k[len("mlp_"):]: v for k, v in tensors.items() if k.startswith("mlp_")}, self.mlp.leaky_slope
+                {k[len("mlp_"):]: v for k, v in tensors.items() if k.startswith("mlp_")}, leaky_slope
             )
-        return replace(
-            self,
+        return cls(
             filters=tensors["filters"],
-            biases=tensors.get("biases"),
-            full_bias=tensors.get("full_bias"),
+            biases=tensors["biases"] if use_def else None,
+            full_bias=None if use_def else tensors["full_bias"],
             mlp=mlp,
+            bins=bins,
+            variant=variant,
+            use_def=use_def,
         )
 
     def copy(self) -> "EcccParams":

@@ -69,8 +69,7 @@ def build_histogram(img: RawImage, bins: int = DEFAULT_BINS) -> ChromaHistogram:
     """Accumulate ||pixel||_2 into hard-assigned (u, v) bins.
 
     Invalid pixels (any nonpositive channel) keep zero weight and land in bin
-    zero, so no gather passes are needed; their count is reported. When every
-    pixel is valid the masking passes are skipped; the arithmetic is the same.
+    zero, so no gather passes are needed; their count is reported.
     """
     m = img.as_matrix()
     r, g, b = m[0], m[1], m[2]
@@ -79,26 +78,16 @@ def build_histogram(img: RawImage, bins: int = DEFAULT_BINS) -> ChromaHistogram:
     skipped = int(m.shape[1] - n_valid)
     if n_valid == 0:
         return ChromaHistogram(np.zeros((bins, bins)), skipped=skipped)
-    w = r * r
-    t = g * g
-    w += t
-    np.multiply(b, b, out=t)
-    w += t
-    np.sqrt(w, out=w)
-    if skipped:
-        w *= valid
-        r, g, b = np.where(valid, r, 1.0), np.where(valid, g, 1.0), np.where(valid, b, 1.0)
+    safe_r = np.where(valid, r, 1.0)
+    safe_g = np.where(valid, g, 1.0)
+    safe_b = np.where(valid, b, 1.0)
     inv_eps = 1.0 / bin_width(bins)
-    idx = []  # u = log(g/r), then v = log(g/b), each formed in the scratch buffer t
-    for den in (r, b):
-        np.divide(g, den, out=t)
-        np.log(t, out=t)
-        t -= CHROMA_MIN
-        t *= inv_eps
-        i = t.astype(np.intp)
-        np.clip(i, 0, bins - 1, out=i)
-        idx.append(i)
-    iu, iv = idx
+    iu = ((np.log(safe_g / safe_r) - CHROMA_MIN) * inv_eps).astype(np.intp)
+    iv = ((np.log(safe_g / safe_b) - CHROMA_MIN) * inv_eps).astype(np.intp)
+    np.clip(iu, 0, bins - 1, out=iu)
+    np.clip(iv, 0, bins - 1, out=iv)
+    w = np.sqrt(r * r + g * g + b * b)
+    w *= valid
     iu *= bins
     iu += iv
     flat = np.bincount(iu, weights=w, minlength=bins * bins)

@@ -18,7 +18,7 @@ from .eccc import (
     prepare_predictor,
 )
 from .errors import DataError
-from .mlp import MlpParams, emlp_forward, tensor_shapes
+from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, emlp_forward, tensor_shapes
 from .training import TrainConfig, ensemble
 
 
@@ -101,7 +101,7 @@ def load_model(path: str) -> ModelBundle:
     e = int(meta.get("e", 8))
     if kind == "emlp":
         _check_shapes(tensors, tensor_shapes(def_cfg.feature_length, 3))
-        params = MlpParams.from_tensors(tensors, leaky_slope=meta.get("leaky_slope", 0.01))
+        params = MlpParams.from_tensors(tensors, leaky_slope=meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE))
         return ModelBundle(kind="emlp", def_cfg=def_cfg, e=e, emlp=params)
     if kind == "eccc":
         defaults = TrainConfig()
@@ -118,18 +118,8 @@ def load_model(path: str) -> ModelBundle:
         else:
             expected["full_bias"] = (bins, bins)
         _check_shapes(tensors, expected)
-        mlp = None
-        if use_def:
-            mlp_tensors = {k[len("mlp_"):]: v for k, v in tensors.items() if k.startswith("mlp_")}
-            mlp = MlpParams.from_tensors(mlp_tensors, leaky_slope=meta.get("leaky_slope", 0.01))
-        params = EcccParams(
-            filters=tensors["filters"],
-            biases=tensors["biases"] if use_def else None,
-            full_bias=None if use_def else tensors["full_bias"],
-            mlp=mlp,
-            bins=bins,
-            variant=variant,
-            use_def=use_def,
+        params = EcccParams.from_tensors(
+            tensors, bins, variant, use_def, leaky_slope=meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE)
         )
         return ModelBundle(kind="eccc", def_cfg=def_cfg, e=e, eccc=params)
     raise DataError(f"unknown checkpoint kind {kind!r}")

@@ -20,7 +20,7 @@ from .core import DualExposurePair, Illuminant, RawImage
 from .eccc import EcccParams, _backward_batch, _forward_batch, init_eccc
 from .errors import DomainError
 from .histogram import CHROMA_MIN, CHROMA_MAX
-from .mlp import MlpParams, angular_loss_unit, emlp_init, mlp_backward, mlp_forward_trace, unit_rows
+from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, angular_loss_unit, emlp_init, mlp_backward, mlp_forward_trace, unit_rows
 
 # ============================================================
 # Adam
@@ -388,7 +388,10 @@ def train_eccc(
             biases=bank,
         )
     state = adam_init(params.tensors(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    params = params.with_tensors(state.tensors())
+    params = EcccParams.from_tensors(
+        state.tensors(), params.bins, params.variant, params.use_def,
+        leaky_slope=params.mlp.leaky_slope if params.use_def else DEFAULT_LEAKY_SLOPE,
+    )
     rng = np.random.default_rng(cfg.seed)
     log: List[TrainLogRow] = []
     last_good = params.copy()
