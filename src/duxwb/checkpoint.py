@@ -12,6 +12,7 @@ that the tensors, in offset order, do not tile exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, Tuple
 
@@ -52,7 +53,7 @@ def load_checkpoint(path: str) -> Tuple[str, Dict[str, np.ndarray], Dict]:
     kind = ""
     blob_name = ""
     meta: Dict = {}
-    specs: Dict[str, Tuple[int, tuple]] = {}
+    specs: Dict[str, Tuple[int, tuple, int]] = {}  # name -> (offset, shape, nbytes)
     for ln in lines[1:]:
         if not ln:
             continue
@@ -80,7 +81,8 @@ def load_checkpoint(path: str) -> Tuple[str, Dict[str, np.ndarray], Dict]:
                 raise DataError(f"{path}: tensor {name} has a negative dimension")
             if name in specs:
                 raise DataError(f"{path}: duplicate tensor {name}")
-            specs[name] = (offset, shape)
+            # Python ints: numpy's int64 product wraps for huge dimensions
+            specs[name] = (offset, shape, 4 * math.prod(shape))
         else:
             raise DataError(f"{path}: unknown manifest line {ln!r}")
     if not kind or not blob_name:
@@ -93,14 +95,14 @@ def load_checkpoint(path: str) -> Tuple[str, Dict[str, np.ndarray], Dict]:
     # taken in offset order, the tensors must tile the blob exactly: no
     # overlap, no gap, nothing after the last one
     end = 0
-    for offset, nbytes, name in sorted((o, 4 * int(np.prod(shape)), n) for n, (o, shape) in specs.items()):
+    for offset, nbytes, name in sorted((o, nb, n) for n, (o, _, nb) in specs.items()):
         if offset != end:
             raise DataError(f"{path}: tensor {name} at byte {offset}, expected {end} (overlap or gap)")
         end += nbytes
     if end != len(blob):
         raise DataError(f"{blob_path}: tensors cover {end} bytes, blob holds {len(blob)}")
     tensors: Dict[str, np.ndarray] = {}
-    for name, (offset, shape) in specs.items():
-        raw = blob[offset:offset + 4 * int(np.prod(shape))]
+    for name, (offset, shape, nbytes) in specs.items():
+        raw = blob[offset:offset + nbytes]
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
     return kind, tensors, meta

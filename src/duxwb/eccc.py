@@ -8,19 +8,23 @@ responses, a softmax over all bins forms a probability map, and its (u, v)
 expectation decodes to an illuminant. A variant without the feature path
 learns a single full-resolution bias instead.
 
-All learnable state lives in float64 numpy arrays; backward passes are
-analytic and validated against finite differences.
+All learnable state lives in float64 numpy arrays, shaped as tensor_shapes
+lists them; backward passes are analytic and validated against finite
+differences. The forward and backward cores are batch-first: training runs
+them on minibatches, and eccc_forward runs the same forward for prediction
+(one pair is a batch of one).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .core import DualExposurePair, Illuminant, RawImage, interp_matrix
+from .core import DualExposurePair, RawImage, interp_matrix
 from .convops import (
     corr_same_multi_fft,
     fft_flipped,
@@ -32,12 +36,14 @@ from .convops import (
 )
 from .errors import DegenerateOutputError, DomainError
 from .histogram import DEFAULT_BINS, bin_centers, build_histogram
-from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, angular_loss_batch, count_params as mlp_count_params, init_mlp, mlp_backward, mlp_forward_trace
+from .mlp import (DEFAULT_LEAKY_SLOPE, MlpParams, angular_loss_unit, init_mlp, mlp_backward, mlp_forward_trace,
+                  row_norms, tensor_shapes as mlp_tensor_shapes, unit_rows)
 
 VARIANTS = ("both", "avg", "short", "long")
 LAMBDA_BIAS = 0.01
 LAMBDA_FILTER = 0.02
 UPSAMPLE_FACTOR = 4
+MLP_PREFIX = "mlp_"  # tensor-name prefix of the weighting network's tensors
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +63,24 @@ def _smoothness_form(bins: int) -> np.ndarray:
 def n_filters(variant: str) -> int:
     """Learned filters for a histogram input variant: one per histogram."""
     return 2 if variant == "both" else 1
+
+
+def tensor_shapes(bins: int, variant: str, use_def: bool, n_biases: int, d_in: int) -> dict:
+    """Shape of each tensor EcccParams.tensors names, in its order.
+
+    Filters and the bias bank are stored at quarter resolution; the weighting
+    network maps a d_in feature to n_biases logits. Without the feature path
+    the model has one full-resolution bias and n_biases, d_in are unused.
+    """
+    h4 = bins // UPSAMPLE_FACTOR
+    shapes = {"filters": (n_filters(variant), h4, h4)}
+    if use_def:
+        shapes["biases"] = (n_biases, h4, h4)
+        for name, shape in mlp_tensor_shapes(d_in, n_biases).items():
+            shapes[MLP_PREFIX + name] = shape
+    else:
+        shapes["full_bias"] = (bins, bins)
+    return shapes
 
 
 @dataclass
@@ -95,7 +119,7 @@ class EcccParams:
         if self.use_def:
             out["biases"] = self.biases
             for name, arr in self.mlp.tensors().items():
-                out[f"mlp_{name}"] = arr
+                out[MLP_PREFIX + name] = arr
         else:
             out["full_bias"] = self.full_bias
         return out
@@ -113,7 +137,7 @@ class EcccParams:
         mlp = None
         if use_def:
             mlp = MlpParams.from_tensors(
-                {k[len("mlp_"):]: v for k, v in tensors.items() if k.startswith("mlp_")}, leaky_slope
+                {k[len(MLP_PREFIX):]: v for k, v in tensors.items() if k.startswith(MLP_PREFIX)}, leaky_slope
             )
         return cls(
             filters=tensors["filters"],
@@ -145,17 +169,11 @@ def count_eccc_params(
     def_dim: int = 15,
 ) -> int:
     """Exact scalar parameter count for a configuration."""
-    h4 = bins // UPSAMPLE_FACTOR
-    total = n_filters(variant) * h4 * h4
-    if use_def:
-        total += n * h4 * h4 + mlp_count_params(def_dim, n)
-    else:
-        total += bins * bins
-    return total
+    return sum(math.prod(shape) for shape in tensor_shapes(bins, variant, use_def, n, def_dim).values())
 
 
 def count_params(params: EcccParams) -> int:
-    return sum(int(np.prod(a.shape)) for a in params.tensors().values())
+    return sum(a.size for a in params.tensors().values())
 
 
 def init_eccc(
@@ -168,15 +186,15 @@ def init_eccc(
     biases: Optional[np.ndarray] = None,
 ) -> EcccParams:
     """Zero filters; bias bank zeroed unless an initialized bank is supplied."""
-    h4 = bins // UPSAMPLE_FACTOR
-    filters = np.zeros((n_filters(variant), h4, h4))
+    shapes = tensor_shapes(bins, variant, use_def, n, def_dim)
+    filters = np.zeros(shapes["filters"])
     if use_def:
-        bank = np.zeros((n, h4, h4)) if biases is None else np.asarray(biases, dtype=np.float64).copy()
-        if bank.shape != (n, h4, h4):
-            raise DomainError(f"bias bank must have shape {(n, h4, h4)}")
+        bank = np.zeros(shapes["biases"]) if biases is None else np.asarray(biases, dtype=np.float64).copy()
+        if bank.shape != shapes["biases"]:
+            raise DomainError(f"bias bank must have shape {shapes['biases']}")
         mlp = init_mlp(def_dim, n, seed)
         return EcccParams(filters, bank, None, mlp, bins, variant, use_def=True)
-    return EcccParams(filters, None, np.zeros((bins, bins)), None, bins, variant, use_def=False)
+    return EcccParams(filters, None, np.zeros(shapes["full_bias"]), None, bins, variant, use_def=False)
 
 
 # ============================================================
@@ -275,6 +293,18 @@ def _forward_batch(
     return cache
 
 
+def eccc_forward(
+    params: EcccParams,
+    hists: np.ndarray,
+    defs: Optional[np.ndarray] = None,
+    prepared: Optional[dict] = None,
+) -> np.ndarray:
+    """Unit-norm illuminant estimates (B, 3) for a (B, J, h, h) unit-mass
+    histogram stack and, with the feature path on, its (B, d) features."""
+    direction = _forward_batch(params, np.asarray(hists, dtype=np.float64), defs, prepared=prepared)["direction"]
+    return direction / row_norms(direction)[:, np.newaxis]
+
+
 def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     """Mean loss over the batch and gradients for every parameter group.
 
@@ -287,9 +317,8 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     """
     h = params.bins
     r = _upsampler(h)
-    gts = np.atleast_2d(np.asarray(gts, dtype=np.float64))
 
-    ang, dd, valid = angular_loss_batch(cache["direction"], gts)
+    ang, dd, valid = angular_loss_unit(cache["direction"], unit_rows(gts))
     n_valid = int(np.count_nonzero(valid))
     if n_valid == 0:
         raise DegenerateOutputError("all decoded outputs in the batch are degenerate")
@@ -335,7 +364,7 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
         dlogits_w = w * (dw - (w * dw).sum(axis=1, keepdims=True))
         mlp_grads = mlp_backward(params.mlp, cache["trace"], dlogits_w)
         for name, arr in mlp_grads.items():
-            grads[f"mlp_{name}"] = arr
+            grads[MLP_PREFIX + name] = arr
     else:
         grads["full_bias"] = dlogits.sum(axis=0) + LAMBDA_BIAS * weight.sum() * grad_b_pen
 
@@ -346,22 +375,3 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
         "n_valid": n_valid,
     }
     return mean_loss, grads, parts
-
-
-# ============================================================
-# Public single-pair API
-# ============================================================
-
-def eccc_forward_from_hists(params: EcccParams, hists: np.ndarray, feature=None, prepared=None):
-    """Estimate from a prebuilt (J, h, h) unit-mass histogram stack and, with
-    the feature path on, a DefVector or its values."""
-    feat = None
-    if params.use_def and feature is not None:
-        feat = np.asarray(getattr(feature, "values", feature), dtype=np.float64).reshape(1, -1)
-    cache = _forward_batch(
-        params, np.asarray(hists, dtype=np.float64)[np.newaxis], feat, prepared=prepared
-    )
-    direction = cache["direction"][0]
-    ill = Illuminant.from_array(direction / np.linalg.norm(direction))
-    return ill, cache["p"][0]
-

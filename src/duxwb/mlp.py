@@ -4,6 +4,9 @@ One implementation serves both estimator heads: the exposure-based MLP (3
 output neurons, predicts an illuminant from the feature vector) and the ECCC
 weighting network (n output neurons, emits bias-interpolation logits). The
 backward pass is analytic; no autograd framework is involved.
+
+Every function is batch-first: inputs are (B, d_in) rows, outputs (B, d_out).
+Training and prediction run the same forward; one sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Illuminant
 from .errors import DegenerateOutputError, DomainError
 
 HIDDEN_WIDTH = 9
@@ -117,24 +119,22 @@ def init_mlp(
 # ============================================================
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Raw (pre-normalization) outputs; accepts (d_in,) or (batch, d_in)."""
+    """Raw (pre-normalization) outputs (B, d_out) for a (B, d_in) batch."""
     y, _ = mlp_forward_trace(params, x)
     return y
 
 
 def mlp_forward_trace(params: MlpParams, x: np.ndarray):
-    """Forward pass keeping what the backward pass needs.
+    """Forward pass over a (B, d_in) batch, keeping what the backward pass needs.
 
     The trace holds each layer's input ("a", four arrays) and each hidden
     layer's LeakyReLU derivative ("slope": 1 where z >= 0, else the leaky
     slope). The activation is z times that derivative, which equals
     where(z >= 0, z, slope * z) bit for bit, so the mask is formed once.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[np.newaxis, :] if single else x
-    if a.shape[1] != params.d_in:
-        raise DomainError(f"input width {a.shape[1]} != expected {params.d_in}")
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != params.d_in:
+        raise DomainError(f"input shape {a.shape} is not (batch, {params.d_in})")
     inputs, slopes = [a], []
     for i in range(3):
         z = a @ params.weights[i].T + params.biases[i]
@@ -143,15 +143,11 @@ def mlp_forward_trace(params: MlpParams, x: np.ndarray):
         slopes.append(d)
         inputs.append(a)
     y = a @ params.weights[3].T + params.biases[3]
-    trace = {"a": inputs, "slope": slopes, "single": single}
-    return (y[0] if single else y), trace
+    return y, {"a": inputs, "slope": slopes}
 
 
 def mlp_backward(params: MlpParams, trace: dict, dout: np.ndarray) -> dict:
-    """Gradients of a scalar loss given d(loss)/d(raw outputs), keyed like tensors()."""
-    dout = np.asarray(dout, dtype=np.float64)
-    if trace["single"]:
-        dout = dout[np.newaxis, :]
+    """Gradients of a scalar loss given d(loss)/d(raw outputs) (B, d_out), keyed like tensors()."""
     a, slopes = trace["a"], trace["slope"]
     grads = {"w4": dout.T @ a[3], "b4": dout.sum(axis=0)}
     da = dout @ params.weights[3]
@@ -168,6 +164,12 @@ def mlp_backward(params: MlpParams, trace: dict, dout: np.ndarray) -> dict:
 # Angular loss
 # ============================================================
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (B, 3) array, with the bits of the 1-D
+    np.linalg.norm of that row (a dot product; norm(axis=1) rounds otherwise)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def unit_rows(gts: np.ndarray) -> np.ndarray:
     """Ground truths scaled to unit rows; a zero row raises DomainError."""
     gts = np.atleast_2d(np.asarray(gts, dtype=np.float64))
@@ -177,18 +179,9 @@ def unit_rows(gts: np.ndarray) -> np.ndarray:
     return gts / gt_norm[:, np.newaxis]
 
 
-def angular_loss_batch(raw: np.ndarray, gts: np.ndarray):
-    """Per-sample angular error (degrees) and its gradient w.r.t. raw outputs.
-
-    Normalizes the ground truths on every call (unit_rows) and defers to
-    angular_loss_unit; a loop over fixed ground truths normalizes them once
-    and calls the core directly, with the same bits.
-    """
-    return angular_loss_unit(np.atleast_2d(np.asarray(raw, dtype=np.float64)), unit_rows(gts))
-
-
 def angular_loss_unit(raw: np.ndarray, ghat: np.ndarray):
-    """angular_loss_batch for (B, 3) float64 raw outputs and unit-row ground truths.
+    """Per-sample angular error (degrees) and its gradient w.r.t. raw outputs,
+    for (B, 3) float64 raw outputs and unit-row ground truths (unit_rows).
 
     Rows with a degenerate raw output (norm < 1e-12) are flagged invalid and
     excluded: their loss is reported as nan and their gradient as zero.
@@ -232,35 +225,18 @@ def emlp_init(
     return init_mlp(d_in, 3, seed, leaky_slope, out_bias=out_bias, out_scale=out_scale)
 
 
-def emlp_forward_raw(params: MlpParams, feature: np.ndarray) -> np.ndarray:
-    """Pre-normalization 3-vector output, exposed for gradient checks."""
-    return mlp_forward(params, np.asarray(feature, dtype=np.float64).reshape(-1))
-
-
-def emlp_forward(params: MlpParams, feature: np.ndarray) -> Illuminant:
-    """Unit-norm illuminant estimate for one feature vector.
+def emlp_forward(params: MlpParams, features: np.ndarray) -> np.ndarray:
+    """Unit-norm illuminant estimates (B, 3) for a (B, d_in) feature batch.
 
     Negative raw components are clamped to zero before normalization: an
     illuminant is a physical light color. Training operates on the raw
     output, where the angular loss needs no clamp.
     """
-    raw = emlp_forward_raw(params, feature)
-    if np.linalg.norm(raw) < 1e-12:
+    raw = mlp_forward(params, features)
+    if np.any(row_norms(raw) < 1e-12):
         raise DegenerateOutputError("EMLP produced a near-zero output vector")
     v = np.maximum(raw, 0.0)
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
+    norm = row_norms(v)
+    if np.any(norm < 1e-12):
         raise DegenerateOutputError("EMLP output has no positive component")
-    return Illuminant.from_array(v / norm)
-
-
-def emlp_backward(params: MlpParams, feature: np.ndarray, gt) -> tuple:
-    """Loss (degrees) and analytic gradients for one sample."""
-    gt_vec = gt.as_array() if isinstance(gt, Illuminant) else np.asarray(gt, dtype=np.float64)
-    x = np.asarray(feature, dtype=np.float64).reshape(-1)
-    raw, trace = mlp_forward_trace(params, x)
-    loss, draw, valid = angular_loss_batch(raw, gt_vec)
-    if not valid[0]:
-        raise DegenerateOutputError("EMLP produced a near-zero output vector")
-    grads = mlp_backward(params, trace, draw[0])
-    return float(loss[0]), grads
+    return v / norm[:, np.newaxis]

@@ -6,19 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import DualExposurePair, Illuminant
 from .def_feature import DefConfig, DefVector, compute_def
-from .eccc import (
-    UPSAMPLE_FACTOR,
-    EcccParams,
-    eccc_forward_from_hists,
-    hists_for_pair,
-    n_filters,
-    prepare_predictor,
-)
+from .eccc import EcccParams, eccc_forward, hists_for_pair, prepare_predictor, tensor_shapes as eccc_tensor_shapes
 from .errors import DataError
-from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, emlp_forward, tensor_shapes
+from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, emlp_forward, tensor_shapes as mlp_tensor_shapes
 from .training import TrainConfig, ensemble
 
 
@@ -37,16 +32,20 @@ class ModelBundle:
 
     def predict_pair(self, pair: DualExposurePair, feature: Optional[DefVector] = None) -> Illuminant:
         """Estimate the illuminant of a pair. feature, when given, is the pair's
-        DEF under this bundle's def_cfg and is used instead of computing it."""
+        DEF under this bundle's def_cfg and is used instead of computing it.
+
+        The estimators are batch-first; the pair runs as a batch of one."""
         if feature is None and self.uses_def:
             feature = compute_def(pair, self.def_cfg)
+        defs = None if feature is None else feature.values[np.newaxis]
         if self.kind == "emlp":
-            return emlp_forward(self.emlp, feature.values)
-        if self._prepared is None:
-            self._prepared = prepare_predictor(self.eccc)
-        hists = hists_for_pair(pair, self.eccc.variant, self.eccc.bins)
-        ill, _ = eccc_forward_from_hists(self.eccc, hists, feature, prepared=self._prepared)
-        return ill
+            unit = emlp_forward(self.emlp, defs)
+        else:
+            if self._prepared is None:
+                self._prepared = prepare_predictor(self.eccc)
+            hists = hists_for_pair(pair, self.eccc.variant, self.eccc.bins)
+            unit = eccc_forward(self.eccc, hists[np.newaxis], defs, prepared=self._prepared)
+        return Illuminant.from_array(unit[0])
 
 
 _DEF_PREFIX = "def_"
@@ -100,7 +99,7 @@ def load_model(path: str) -> ModelBundle:
     def_cfg = _def_from_meta(meta)
     e = int(meta.get("e", 8))
     if kind == "emlp":
-        _check_shapes(tensors, tensor_shapes(def_cfg.feature_length, 3))
+        _check_shapes(tensors, mlp_tensor_shapes(def_cfg.feature_length, 3))
         params = MlpParams.from_tensors(tensors, leaky_slope=meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE))
         return ModelBundle(kind="emlp", def_cfg=def_cfg, e=e, emlp=params)
     if kind == "eccc":
@@ -108,16 +107,8 @@ def load_model(path: str) -> ModelBundle:
         use_def = bool(meta.get("use_def", defaults.use_def))
         bins = int(meta.get("bins", defaults.hist_bins))
         variant = meta.get("variant", defaults.variant)
-        h4 = bins // UPSAMPLE_FACTOR
-        expected = {"filters": (n_filters(variant), h4, h4)}
-        if use_def:
-            n = int(meta.get("n_biases", defaults.n_biases))
-            expected["biases"] = (n, h4, h4)
-            for name, shape in tensor_shapes(def_cfg.feature_length, n).items():
-                expected["mlp_" + name] = shape
-        else:
-            expected["full_bias"] = (bins, bins)
-        _check_shapes(tensors, expected)
+        n = int(meta.get("n_biases", defaults.n_biases))
+        _check_shapes(tensors, eccc_tensor_shapes(bins, variant, use_def, n, def_cfg.feature_length))
         params = EcccParams.from_tensors(
             tensors, bins, variant, use_def, leaky_slope=meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE)
         )

@@ -26,6 +26,9 @@ from .core import DualExposurePair, Illuminant, RawImage, interp_matrix
 from .errors import DataError, DomainError
 
 MAGIC = b"DXT1"
+# The longest valid header: no file is large enough to back a side of more
+# than 20 digits, so a longer header is rejected without reading further.
+HEADER_MAX = len(f"{2 ** 64} {2 ** 64} 3 f32 le\n")
 DEFAULT_SPLIT_WEIGHTS = (387, 83, 86)  # train : val : test proportions
 
 
@@ -171,12 +174,11 @@ def read_tensor(path: str) -> np.ndarray:
         magic = fh.read(4)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
-        header = b""
-        while not header.endswith(b"\n"):
-            c = fh.read(1)
-            if not c:
+        header = fh.readline(HEADER_MAX)
+        if not header.endswith(b"\n"):
+            if len(header) < HEADER_MAX:
                 raise DataError(f"{path}: truncated header")
-            header += c
+            raise DataError(f"{path}: no header line within {HEADER_MAX} bytes")
         parts = header.decode("ascii", errors="replace").split()
         if (len(parts) != 5 or not parts[0].isdigit() or not parts[1].isdigit()
                 or parts[2] != "3" or parts[3] != "f32" or parts[4] != "le"):

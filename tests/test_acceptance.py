@@ -20,14 +20,22 @@ from duxwb.eccc import (
     _backward_batch,
     _forward_batch,
     count_eccc_params,
-    eccc_forward_from_hists,
+    eccc_forward,
     hists_for_pair,
     init_eccc,
     prepare_predictor,
 )
 from duxwb.evaluation import compute_report, gray_world
 from duxwb.histogram import bin_centers, bin_width, build_histogram, decode_uv, illuminant_to_uv
-from duxwb.mlp import count_params as emlp_count_params, emlp_backward, emlp_init, mlp_forward
+from duxwb.mlp import (
+    angular_loss_unit,
+    count_params as emlp_count_params,
+    emlp_init,
+    mlp_backward,
+    mlp_forward,
+    mlp_forward_trace,
+    unit_rows,
+)
 from duxwb.pipeline import build_feature_set
 from duxwb.synth import SceneSpec, generate_dataset, render_pair, DatasetManifest
 from duxwb.training import TrainConfig, train_eccc, train_emlp
@@ -103,8 +111,10 @@ def _fd_worst_emlp(seed):
     params = emlp_init(15, seed=seed, neutral_start=False)
     x = rng.standard_normal(15)
     gt = np.abs(rng.standard_normal(3)) + 0.1
-    _, grads = emlp_backward(params, x, gt)
-    return _fd_worst(lambda: emlp_backward(params, x, gt)[0], grads,
+    x, ghat = x[None], unit_rows(gt)
+    raw, trace = mlp_forward_trace(params, x)
+    grads = mlp_backward(params, trace, angular_loss_unit(raw, ghat)[1])
+    return _fd_worst(lambda: float(angular_loss_unit(mlp_forward(params, x), ghat)[0][0]), grads,
                      params.tensors(), steps=(1e-4, 1e-5))
 
 
@@ -350,8 +360,8 @@ def synthetic_run(tmp_path_factory):
     prep = prepare_predictor(eccc_params)
     eccc_errors = []
     for i in range(len(val)):
-        ill, _ = eccc_forward_from_hists(eccc_params, val.hists[i], val.defs[i], prepared=prep)
-        eccc_errors.append(angular_error(ill, val.gts[i]))
+        est = eccc_forward(eccc_params, val.hists[i:i + 1], val.defs[i:i + 1], prepared=prep)
+        eccc_errors.append(angular_error(est[0], val.gts[i]))
 
     # controls: untrained net and a shuffled-label run from the same seed
     untrained = emlp_init(15, seed=0)
@@ -426,8 +436,8 @@ def test_criterion_10_latency():
     rng = np.random.default_rng(0)
     for _, a in params.tensors().items():
         a += rng.standard_normal(a.shape) * 0.1
-    feat = compute_def(pair, DefConfig())
-    hists = hists_for_pair(pair, "both", 64)
+    defs = compute_def(pair, DefConfig()).values[None]
+    hists = hists_for_pair(pair, "both", 64)[None]
     prep = prepare_predictor(params)
 
     def timed(fn, n):
@@ -439,8 +449,8 @@ def test_criterion_10_latency():
             samples.append(time.perf_counter() - s)
         return float(np.median(samples)) * 1e3
 
-    forward_ms = timed(lambda: eccc_forward_from_hists(params, hists, feat, prepared=prep), 100)
-    full_ms = timed(lambda: eccc_forward_from_hists(params, hists_for_pair(pair, "both", 64), feat), 50)
+    forward_ms = timed(lambda: eccc_forward(params, hists, defs, prepared=prep), 100)
+    full_ms = timed(lambda: eccc_forward(params, hists_for_pair(pair, "both", 64)[None], defs), 50)
     def_ms = timed(lambda: compute_def(pair, DefConfig()), 20)  # informational
     elapsed = time.perf_counter() - t0
     ok = forward_ms <= 1.0 and full_ms <= 10.0 and elapsed < 60

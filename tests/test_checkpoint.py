@@ -107,6 +107,16 @@ def test_duplicate_tensor_line_raises(tmp_path):
         load_checkpoint(path)
 
 
+def test_tensor_size_past_int64_raises(tmp_path):
+    # 2**32 * 2**32 elements: an int64 product wraps to 0 bytes, which would
+    # tile the blob and fail later in reshape
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, "emlp", {"w": np.zeros(3)}, {})
+    _rewrite_manifest(path, lambda lines: lines + ["tensor big f32 12 4294967296 4294967296"])
+    with pytest.raises(DataError, match="blob holds 12"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("line", ["tensor w f32 x 3", "tensor w", "meta e {bad"])
 def test_malformed_manifest_line_raises(tmp_path, line):
     path = _saved_two_tensors(tmp_path)

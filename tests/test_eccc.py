@@ -9,10 +9,11 @@ from duxwb.eccc import (
     _upsampler,
     count_eccc_params,
     count_params,
-    eccc_forward_from_hists,
+    eccc_forward,
     hists_for_pair,
     init_eccc,
     prepare_predictor,
+    tensor_shapes,
     LAMBDA_BIAS,
     LAMBDA_FILTER,
 )
@@ -29,8 +30,14 @@ def _random_hists(rng, j=2, bins=64):
     return h / h.sum(axis=(1, 2), keepdims=True)
 
 
+def _predict(params, hists, feat=None):
+    """Unit estimate and probability map for one (J, h, h) stack, run as a batch of one."""
+    defs = None if feat is None else feat[None]
+    return eccc_forward(params, hists[None], defs)[0], _forward_batch(params, hists[None], defs)["p"][0]
+
+
 def _forward_pair(params, pair, feature):
-    return eccc_forward_from_hists(params, hists_for_pair(pair, params.variant, params.bins), feature)
+    return _predict(params, hists_for_pair(pair, params.variant, params.bins), feature)
 
 
 def _loss_and_grads(params, hists, feat, gt):
@@ -63,6 +70,15 @@ def test_parameter_counts(kwargs, expected):
     assert count_params(params) == expected
 
 
+@pytest.mark.parametrize("use_def", [True, False])
+@pytest.mark.parametrize("variant", ["both", "long"])
+def test_tensor_shapes_list_the_model_tensors_in_order(use_def, variant):
+    params = init_eccc(bins=32, n=4, variant=variant, use_def=use_def, def_dim=9, seed=0)
+    shapes = tensor_shapes(32, variant, use_def, 4, 9)
+    assert list(shapes) == list(params.tensors())
+    assert shapes == {name: a.shape for name, a in params.tensors().items()}
+
+
 # ============================================================
 # Forward
 # ============================================================
@@ -71,9 +87,9 @@ def test_zero_filters_uniform_bias_neutral_output(rng):
     params = init_eccc(bins=64, n=1, seed=0)
     params.biases[0][:] = 1.0
     hists = _random_hists(rng)
-    ill, p = eccc_forward_from_hists(params, hists, np.zeros(15))
+    est, p = _predict(params, hists, np.zeros(15))
     assert np.allclose(p, 1.0 / (64 * 64), atol=1e-12)
-    assert np.allclose(ill.as_array(), np.ones(3) / np.sqrt(3.0), atol=1e-9)
+    assert np.allclose(est, np.ones(3) / np.sqrt(3.0), atol=1e-9)
 
 
 def test_delta_probability_map_decodes_known_illuminant():
@@ -90,9 +106,9 @@ def test_delta_probability_map_decodes_known_illuminant():
     params.full_bias[iu, iv] = 200.0
     hists = np.zeros((2, 64, 64))
     hists[:, 10, 10] = 1.0
-    ill, p = eccc_forward_from_hists(params, hists)
+    est, p = _predict(params, hists)
     assert p[iu, iv] > 0.999999
-    assert angular_error(ill, expected) < 1e-4
+    assert angular_error(est, expected) < 1e-4
 
 
 def test_probability_map_is_distribution(rng):
@@ -101,10 +117,10 @@ def test_probability_map_is_distribution(rng):
     for _, a in t.items():
         a += rng.standard_normal(a.shape) * 0.3
     for _ in range(5):
-        ill, p = eccc_forward_from_hists(params, _random_hists(rng), rng.standard_normal(15))
+        est, p = _predict(params, _random_hists(rng), rng.standard_normal(15))
         assert p.min() >= 0.0
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.linalg.norm(ill.as_array()) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(est) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_forward_conv_path_matches_spatial_oracle(rng):
@@ -153,14 +169,14 @@ def test_softmax_weighted_bias_convexity(rng):
     common = rng.standard_normal((16, 16))
     params.biases[:] = common  # all banks equal -> blend equals the common map
     hists = _random_hists(rng)
-    ill_a, p_a = eccc_forward_from_hists(params, hists, rng.standard_normal(15))
+    est_a, p_a = _predict(params, hists, rng.standard_normal(15))
     params2 = init_eccc(bins=64, n=1, seed=3)
     params2.biases[0] = common
     # weighting MLP differs (different output width) but softmax over one
     # logit is exactly 1, so both models add the same upsampled bias
-    ill_b, p_b = eccc_forward_from_hists(params2, hists, rng.standard_normal(15))
+    est_b, p_b = _predict(params2, hists, rng.standard_normal(15))
     assert np.abs(p_a - p_b).max() < 1e-12
-    assert ill_a.as_array() == pytest.approx(ill_b.as_array(), abs=1e-12)
+    assert est_a == pytest.approx(est_b, abs=1e-12)
 
 
 def test_histogram_variants(rng):
@@ -181,10 +197,10 @@ def test_single_hist_variant_forward(rng):
     params = init_eccc(bins=64, n=20, variant="long", seed=4)
     img = random_image(rng, 8, 8)
     pair = DualExposurePair(long=img, short=RawImage(img.data * 0.2), exposure_factor=2.0)
-    ill, p = _forward_pair(params, pair, rng.standard_normal(15))
+    est, p = _forward_pair(params, pair, rng.standard_normal(15))
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
     # zero filters + zero bias bank -> uniform map -> neutral estimate
-    assert np.allclose(ill.as_array(), np.ones(3) / np.sqrt(3.0), atol=1e-9)
+    assert np.allclose(est, np.ones(3) / np.sqrt(3.0), atol=1e-9)
 
 
 def test_duplicate_pixels_leave_forward_invariant(rng):
@@ -199,8 +215,8 @@ def test_duplicate_pixels_leave_forward_invariant(rng):
         exposure_factor=2.0,
     )
     feat = rng.standard_normal(15)
-    ill_a, p_a = _forward_pair(params, pair, feat)
-    ill_b, p_b = _forward_pair(params, doubled, feat)
+    _, p_a = _forward_pair(params, pair, feat)
+    _, p_b = _forward_pair(params, doubled, feat)
     assert np.abs(p_a - p_b).max() < 1e-12
 
 
@@ -215,7 +231,27 @@ def test_empty_histogram_raises():
 def test_feature_length_validated(rng):
     params = init_eccc(bins=64, n=5, seed=0)
     with pytest.raises(DomainError):
-        eccc_forward_from_hists(params, _random_hists(rng), np.zeros(9))
+        eccc_forward(params, _random_hists(rng)[None], np.zeros((1, 9)))
+
+
+def test_feature_path_requires_features(rng):
+    params = init_eccc(bins=64, n=5, seed=0)
+    with pytest.raises(DomainError):
+        eccc_forward(params, _random_hists(rng)[None])
+
+
+def test_forward_rows_are_decoded_directions_normalized_like_vectors(rng):
+    """eccc_forward is the batched core's direction, each row scaled by its 1-D norm."""
+    params = init_eccc(bins=32, n=5, seed=7)
+    for _, a in params.tensors().items():
+        a += rng.standard_normal(a.shape) * 0.3
+    hists = np.stack([_random_hists(rng, bins=32) for _ in range(6)])
+    defs = rng.standard_normal((6, 15))
+    est = eccc_forward(params, hists, defs)
+    direction = _forward_batch(params, hists, defs)["direction"]
+    assert est.shape == (6, 3)
+    for i in range(6):
+        assert np.array_equal(est[i], direction[i] / np.linalg.norm(direction[i]))
 
 
 # ============================================================
@@ -268,8 +304,8 @@ def test_loss_assembles_three_terms(rng):
     feat = rng.standard_normal(15)
     gt = np.abs(rng.standard_normal(3)) + 0.2
     loss, grads, parts = _loss_and_grads(params, hists, feat, gt)
-    ill, _ = eccc_forward_from_hists(params, hists, feat)
-    ang = angular_error(ill, gt)
+    est, _ = _predict(params, hists, feat)
+    ang = angular_error(est, gt)
     r = bilinear_upsample
     f_up = [r(f, 4) for f in params.filters]
     s_f = LAMBDA_FILTER * sum(sobel_smoothness(f)[0] for f in f_up)

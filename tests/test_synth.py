@@ -1,4 +1,5 @@
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from duxwb.core import angular_error
 from duxwb.def_feature import DefConfig, compute_def
 from duxwb.errors import DataError, DomainError
 from duxwb.synth import (
+    HEADER_MAX,
     DatasetManifest,
     SceneSpec,
     generate_dataset,
@@ -153,6 +155,36 @@ def test_tensor_nonpositive_or_bad_size_raises(tmp_path, header):
         fh.write(b"DXT1" + header)
     with pytest.raises(DataError):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("header", [b"4 4 3 f32", b""])
+def test_tensor_truncated_header_raises(tmp_path, header):
+    path = str(tmp_path / "cut.dxt")
+    with open(path, "wb") as fh:
+        fh.write(b"DXT1" + header)
+    with pytest.raises(DataError, match="truncated header"):
+        read_tensor(path)
+
+
+def test_tensor_header_without_newline_fails_fast(tmp_path):
+    path = str(tmp_path / "runon.dxt")
+    with open(path, "wb") as fh:
+        fh.write(b"DXT1" + b"7" * (1 << 20))
+    t0 = time.perf_counter()
+    with pytest.raises(DataError, match="no header line"):
+        read_tensor(path)
+    assert time.perf_counter() - t0 < 0.25
+
+
+def test_longest_valid_header_is_read(tmp_path):
+    # the reader accepts leading zeros, so pad a valid header to the cap
+    side = "2".zfill((HEADER_MAX - len(" 3 f32 le\n") - 1) // 2)
+    header = f"{side} {side} 3 f32 le\n".encode("ascii")
+    assert len(header) in (HEADER_MAX, HEADER_MAX - 1)
+    path = str(tmp_path / "padded.dxt")
+    with open(path, "wb") as fh:
+        fh.write(b"DXT1" + header + np.ones((3, 2, 2), dtype="<f4").tobytes())
+    assert np.array_equal(read_tensor(path), np.ones((3, 2, 2), dtype=np.float32))
 
 
 def test_tensor_header_larger_than_file_raises(tmp_path):
