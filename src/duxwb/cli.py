@@ -251,9 +251,13 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # numpy-backed modules; main() caps the thread pools before this runs
     from .eccc import VARIANTS
-    from .training import TrainConfig
+    from .training import MODEL_DEFAULTS, TrainConfig
 
     train_defaults = TrainConfig()
+
+    def model_default(key: str) -> str:
+        return "0 = model default (" + ", ".join(f"{m} {d[key]:g}" for m, d in MODEL_DEFAULTS.items()) + ")"
+
     parser = argparse.ArgumentParser(prog="duxwb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -282,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=["emlp", "eccc"])
     p.add_argument("--out", required=True)
     p.add_argument("--e", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=0, help="0 = model default (1000 / 200)")
-    p.add_argument("--lr", type=float, default=0.0, help="0 = model default (1e-3 / 5e-3)")
+    p.add_argument("--epochs", type=int, default=0, help=model_default("epochs"))
+    p.add_argument("--lr", type=float, default=0.0, help=model_default("lr"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--augment", action="store_true")
     p.add_argument("--n", type=int, default=train_defaults.n_biases, help="bias bank size (eccc)")

@@ -149,17 +149,6 @@ class EcccParams:
             use_def=use_def,
         )
 
-    def copy(self) -> "EcccParams":
-        return EcccParams(
-            filters=self.filters.copy(),
-            biases=None if self.biases is None else self.biases.copy(),
-            full_bias=None if self.full_bias is None else self.full_bias.copy(),
-            mlp=None if self.mlp is None else self.mlp.copy(),
-            bins=self.bins,
-            variant=self.variant,
-            use_def=self.use_def,
-        )
-
 
 def count_eccc_params(
     bins: int = DEFAULT_BINS,

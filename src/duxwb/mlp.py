@@ -54,13 +54,6 @@ class MlpParams:
             out[f"b{i}"] = b
         return out
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            leaky_slope=self.leaky_slope,
-        )
-
     @classmethod
     def from_tensors(cls, tensors: dict, leaky_slope: float = DEFAULT_LEAKY_SLOPE) -> "MlpParams":
         weights = [np.asarray(tensors[f"w{i}"], dtype=np.float64) for i in range(1, 5)]

@@ -73,6 +73,15 @@ def _check_shapes(tensors: dict, expected: dict) -> None:
             raise DataError(f"tensor {name!r} has shape {tensors[name].shape}, metadata implies {shape}")
 
 
+def _meta_value(meta: dict, key: str, default, kind: type):
+    """meta[key] (default when absent), which must be a JSON value of kind: int
+    excludes booleans, and nothing is converted."""
+    value = meta.get(key, default)
+    if type(value) is not kind:
+        raise DataError(f"checkpoint metadata {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def save_model(path: str, bundle: ModelBundle) -> None:
     meta = {"e": bundle.e}
     meta.update(_def_meta(bundle.def_cfg))
@@ -97,17 +106,17 @@ def save_model(path: str, bundle: ModelBundle) -> None:
 def load_model(path: str) -> ModelBundle:
     kind, tensors, meta = load_checkpoint(path)
     def_cfg = _def_from_meta(meta)
-    e = int(meta.get("e", 8))
+    e = _meta_value(meta, "e", 8, int)
     if kind == "emlp":
         _check_shapes(tensors, mlp_tensor_shapes(def_cfg.feature_length, 3))
         params = MlpParams.from_tensors(tensors, leaky_slope=meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE))
         return ModelBundle(kind="emlp", def_cfg=def_cfg, e=e, emlp=params)
     if kind == "eccc":
         defaults = TrainConfig()
-        use_def = bool(meta.get("use_def", defaults.use_def))
-        bins = int(meta.get("bins", defaults.hist_bins))
+        use_def = _meta_value(meta, "use_def", defaults.use_def, bool)
+        bins = _meta_value(meta, "bins", defaults.hist_bins, int)
         variant = meta.get("variant", defaults.variant)
-        n = int(meta.get("n_biases", defaults.n_biases))
+        n = _meta_value(meta, "n_biases", defaults.n_biases, int)
         _check_shapes(tensors, eccc_tensor_shapes(bins, variant, use_def, n, def_cfg.feature_length))
         params = EcccParams.from_tensors(
             tensors, bins, variant, use_def, leaky_slope=meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE)

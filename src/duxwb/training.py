@@ -1,6 +1,12 @@
 """Optimization stack: Adam, k-means, Von Kries augmentation, bias-bank
-initialization, the training loops for both estimators, and prediction
-ensembling.
+initialization, training for both estimators, and prediction ensembling.
+
+Both estimators train through one minibatch loop (_train); train_emlp and
+train_eccc supply only their set-up, their per-epoch rate and batch size, and
+their per-batch step. Adam owns the parameters as one flat vector and the
+model computes on views of it. After each finite epoch the loop copies that
+vector; an epoch whose mean loss is not finite ends the run, and the copy is
+written back in place, so the returned model holds the last good epoch.
 
 Training is deterministic given a seed: data order, initialization and every
 update are driven by one seeded generator, and reductions use numpy's
@@ -11,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -42,7 +48,6 @@ class AdamState:
     v: np.ndarray
     layout: dict  # tensor name -> (slice, shape), in the params dict's order
     step: int = 0
-    lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -54,7 +59,7 @@ class AdamState:
         return {k: self.params[sl].reshape(shape) for k, (sl, shape) in self.layout.items()}
 
 
-def adam_init(params: dict, lr: float, weight_decay: float = 0.0) -> AdamState:
+def adam_init(params: dict, weight_decay: float = 0.0) -> AdamState:
     """State for training `params` (name -> array); the arrays are copied, not updated."""
     layout, n = {}, 0
     for k, p in params.items():
@@ -63,11 +68,11 @@ def adam_init(params: dict, lr: float, weight_decay: float = 0.0) -> AdamState:
     flat = np.empty(n)
     for k, (sl, _) in layout.items():
         flat[sl] = np.ravel(params[k])
-    return AdamState(params=flat, m=np.zeros(n), v=np.zeros(n), layout=layout, lr=lr, weight_decay=weight_decay)
+    return AdamState(params=flat, m=np.zeros(n), v=np.zeros(n), layout=layout, weight_decay=weight_decay)
 
 
-def adam_step(state: AdamState, grads: dict, lr: Optional[float] = None) -> bool:
-    """One in-place update of state.params; returns False (and counts) on non-finite gradients.
+def adam_step(state: AdamState, grads: dict, lr: float) -> bool:
+    """One in-place update of state.params at rate lr; returns False (and counts) on non-finite gradients.
 
     Weight decay is decoupled from the moment estimates.
     """
@@ -75,15 +80,14 @@ def adam_step(state: AdamState, grads: dict, lr: Optional[float] = None) -> bool
     if not np.isfinite(g).all():
         state.rejected += 1
         return False
-    rate = state.lr if lr is None else lr
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    state.params -= rate * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    state.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
     if state.weight_decay > 0.0:
-        state.params -= rate * state.weight_decay * state.params
+        state.params -= lr * state.weight_decay * state.params
     return True
 
 
@@ -240,13 +244,20 @@ def init_eccc_biases(train_defs: np.ndarray, train_gts: np.ndarray, n: int, bins
 # Training configuration and loops
 # ============================================================
 
+# What TrainConfig's sentinels (0 epochs, 0 lr, negative weight decay) stand for.
+MODEL_DEFAULTS = {
+    "emlp": {"epochs": 1000, "lr": 1e-3, "weight_decay": 0.0},
+    "eccc": {"epochs": 200, "lr": 5e-3, "weight_decay": 1e-5},
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     model: str = "emlp"               # "emlp" | "eccc"
-    epochs: int = 0                   # 0 picks the model default (1000 / 200)
+    epochs: int = 0                   # 0 picks MODEL_DEFAULTS[model]
     batch_size: int = 32              # emlp only; eccc grows 16 -> 32 -> 64 at epoch thirds
-    lr: float = 0.0                   # 0 picks the model default (1e-3 / 5e-3)
-    weight_decay: float = -1.0        # <0 picks the model default (0 / 1e-5)
+    lr: float = 0.0                   # 0 picks MODEL_DEFAULTS[model]
+    weight_decay: float = -1.0        # <0 picks MODEL_DEFAULTS[model]
     seed: int = 0
     # eccc knobs
     n_biases: int = 20
@@ -256,21 +267,15 @@ class TrainConfig:
     bias_init: bool = True
 
     def resolved(self) -> "TrainConfig":
-        if self.model == "emlp":
-            return replace(
-                self,
-                epochs=self.epochs or 1000,
-                lr=self.lr or 1e-3,
-                weight_decay=self.weight_decay if self.weight_decay >= 0 else 0.0,
-            )
-        if self.model == "eccc":
-            return replace(
-                self,
-                epochs=self.epochs or 200,
-                lr=self.lr or 5e-3,
-                weight_decay=self.weight_decay if self.weight_decay >= 0 else 1e-5,
-            )
-        raise DomainError(f"unknown model {self.model!r}")
+        if self.model not in MODEL_DEFAULTS:
+            raise DomainError(f"unknown model {self.model!r}")
+        d = MODEL_DEFAULTS[self.model]
+        return replace(
+            self,
+            epochs=self.epochs or d["epochs"],
+            lr=self.lr or d["lr"],
+            weight_decay=self.weight_decay if self.weight_decay >= 0 else d["weight_decay"],
+        )
 
 
 @dataclass
@@ -285,10 +290,45 @@ class TrainLogRow:
 
 @dataclass
 class TrainResult:
-    tensors: dict
     log: List[TrainLogRow]
     aborted: bool = False  # non-finite loss forced a stop at the last good state
     skipped_steps: int = 0
+
+
+def _train(state: AdamState, n: int, schedule: list, step: Callable, seed: int) -> TrainResult:
+    """Minibatch Adam over n samples, one epoch per (lr, batch size) in schedule.
+
+    Each epoch draws a permutation; step(batch indices) returns (gradients,
+    loss sum, weight, smoothness sum), or None to skip the batch, which is
+    also skipped when Adam rejects its gradients. The epoch logs its loss and
+    smoothness sums divided by its summed weight. An epoch that has weight and
+    a non-finite mean loss ends the run, with state.params restored in place
+    to the end of the last good epoch.
+    """
+    rng = np.random.default_rng(seed)
+    log: List[TrainLogRow] = []
+    last_good = state.params.copy()
+    skipped = 0
+    for epoch, (lr, bs) in enumerate(schedule):
+        order = rng.permutation(n)
+        sum_loss = sum_smooth = 0.0
+        weight = 0
+        for start in range(0, n, bs):
+            out = step(order[start:start + bs])
+            if out is None or not adam_step(state, out[0], lr):
+                skipped += 1
+                continue
+            sum_loss += out[1]
+            weight += out[2]
+            sum_smooth += out[3]
+        mean_loss = sum_loss / weight if weight else float("nan")
+        mean_smooth = sum_smooth / weight if weight else float("nan")
+        log.append(TrainLogRow(epoch, "train", mean_loss, mean_smooth, lr, bs))
+        if weight and not np.isfinite(mean_loss):
+            state.params[:] = last_good
+            return TrainResult(log, aborted=True, skipped_steps=skipped)
+        last_good[:] = state.params
+    return TrainResult(log, aborted=False, skipped_steps=skipped)
 
 
 def _eccc_batch_size(epoch: int, epochs: int) -> int:
@@ -311,8 +351,8 @@ def train_emlp(
 
     Given `params` are the starting point and are copied into the optimizer
     (adam_init); the caller's arrays are left as they were. The returned
-    params are views of the optimizer's flat vector, or the last good epoch's
-    copy after an abort.
+    params are views of the optimizer's flat vector. Rate and batch size are
+    constant; the loss is the mean over valid rows.
     """
     cfg = cfg.resolved()
     x = np.asarray(features, dtype=np.float64)
@@ -321,40 +361,19 @@ def train_emlp(
     ghat = unit_rows(gts)  # row norms do not depend on the batch
     if params is None:
         params = emlp_init(d_in=x.shape[1], seed=cfg.seed)
-    state = adam_init(params.tensors(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    state = adam_init(params.tensors(), weight_decay=cfg.weight_decay)
     params = MlpParams.from_tensors(state.tensors(), leaky_slope=params.leaky_slope)
-    rng = np.random.default_rng(cfg.seed)
-    log: List[TrainLogRow] = []
-    last_good = params.copy()
-    skipped = 0
-    aborted = False
-    n = len(x)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        sum_loss = 0.0
-        count = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            raw, trace = mlp_forward_trace(params, x[idx])
-            loss, draw, valid = angular_loss_unit(raw, ghat[idx])
-            n_valid = int(np.count_nonzero(valid))
-            if n_valid == 0:
-                skipped += 1
-                continue
-            grads = mlp_backward(params, trace, draw / n_valid)
-            if not adam_step(state, grads):
-                skipped += 1
-                continue
-            sum_loss += float(loss.sum() if n_valid == len(loss) else np.nansum(loss))
-            count += n_valid
-        mean_loss = sum_loss / count if count else float("nan")
-        log.append(TrainLogRow(epoch, "train", mean_loss, 0.0, cfg.lr, cfg.batch_size))
-        if not np.isfinite(mean_loss) and count:
-            params = last_good
-            aborted = True
-            break
-        last_good = params.copy()
-    return params, TrainResult(params.tensors(), log, aborted, skipped)
+
+    def step(idx):
+        raw, trace = mlp_forward_trace(params, x[idx])
+        loss, draw, valid = angular_loss_unit(raw, ghat[idx])
+        n_valid = int(np.count_nonzero(valid))
+        if n_valid == 0:
+            return None
+        grads = mlp_backward(params, trace, draw / n_valid)
+        return grads, float(loss.sum() if n_valid == len(loss) else np.nansum(loss)), n_valid, 0.0
+
+    return params, _train(state, len(x), [(cfg.lr, cfg.batch_size)] * cfg.epochs, step, cfg.seed)
 
 
 def train_eccc(
@@ -368,69 +387,46 @@ def train_eccc(
 
     hists: (N, J, h, h); features: (N, d) or None when use_def is off. As in
     train_emlp, given `params` are copied into the optimizer, not updated.
+    The rate anneals on a cosine and the batch grows 16 -> 32 -> 64; the
+    loss is the mean over batches.
     """
     cfg = cfg.resolved()
     g = np.asarray(gts, dtype=np.float64)
     n = len(g)
     if n == 0:
         raise DomainError("training set is empty")
+    feats = None if features is None else np.asarray(features, dtype=np.float64)
     if params is None:
+        if cfg.use_def and feats is None:
+            raise DomainError("the feature path (use_def) needs features")
         bank = None
         if cfg.use_def and cfg.bias_init:
-            bank, _ = init_eccc_biases(features, g, cfg.n_biases, cfg.hist_bins, seed=cfg.seed)
+            bank, _ = init_eccc_biases(feats, g, cfg.n_biases, cfg.hist_bins, seed=cfg.seed)
         params = init_eccc(
             bins=cfg.hist_bins,
             n=cfg.n_biases,
             variant=cfg.variant,
             use_def=cfg.use_def,
-            def_dim=features.shape[1] if features is not None else 15,
+            def_dim=feats.shape[1] if cfg.use_def else 0,  # unused without the feature path
             seed=cfg.seed,
             biases=bank,
         )
-    state = adam_init(params.tensors(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    state = adam_init(params.tensors(), weight_decay=cfg.weight_decay)
     params = EcccParams.from_tensors(
         state.tensors(), params.bins, params.variant, params.use_def,
         leaky_slope=params.mlp.leaky_slope if params.use_def else DEFAULT_LEAKY_SLOPE,
     )
-    rng = np.random.default_rng(cfg.seed)
-    log: List[TrainLogRow] = []
-    last_good = params.copy()
-    skipped = 0
-    aborted = False
-    feats = None if features is None else np.asarray(features, dtype=np.float64)
     # histograms never change during a run, so transform them once; single
     # precision halves the cache and the per-step transform cost
     hists_fft = fft_image(np.asarray(hists, dtype=np.float32), fft_size(cfg.hist_bins, cfg.hist_bins))
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
-        bs = _eccc_batch_size(epoch, cfg.epochs)
-        order = rng.permutation(n)
-        sum_loss = 0.0
-        sum_smooth = 0.0
-        batches = 0
-        for start_i in range(0, n, bs):
-            idx = order[start_i:start_i + bs]
-            cache = _forward_batch(
-                params,
-                defs=None if feats is None else feats[idx],
-                hists_fft=hists_fft[idx],
-            )
-            loss, grads, parts = _backward_batch(params, cache, g[idx])
-            if not adam_step(state, grads, lr=lr):
-                skipped += 1
-                continue
-            sum_loss += loss
-            sum_smooth += parts["smooth_bias_mean"] + parts["smooth_filter"]
-            batches += 1
-        mean_loss = sum_loss / batches if batches else float("nan")
-        mean_smooth = sum_smooth / batches if batches else float("nan")
-        log.append(TrainLogRow(epoch, "train", mean_loss, mean_smooth, lr, bs))
-        if not np.isfinite(mean_loss) and batches:
-            params = last_good
-            aborted = True
-            break
-        last_good = params.copy()
-    return params, TrainResult(params.tensors(), log, aborted, skipped)
+
+    def step(idx):
+        cache = _forward_batch(params, defs=None if feats is None else feats[idx], hists_fft=hists_fft[idx])
+        loss, grads, parts = _backward_batch(params, cache, g[idx])
+        return grads, loss, 1, parts["smooth_bias_mean"] + parts["smooth_filter"]
+
+    schedule = [(cosine_lr(cfg.lr, e, cfg.epochs), _eccc_batch_size(e, cfg.epochs)) for e in range(cfg.epochs)]
+    return params, _train(state, n, schedule, step, cfg.seed)
 
 
 # ============================================================

@@ -1,12 +1,19 @@
 """The benchmark's traced runs (perfbench/run.py --trace 1) wrap program
 functions by name where the calling module looks them up (PATCHES in
-perfbench/workflow.py). A function removed or renamed in the program breaks
-those runs; this test shows it at unit-test speed. The benchmark's files are
+perfbench/workflow.py), and its workflow calls a few library functions
+directly. A function removed, renamed or re-signed in the program breaks
+those runs; these tests show it at unit-test speed. The benchmark's files are
 loaded as they are, not edited."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from duxwb import eccc, models, training
+from duxwb.def_feature import DefConfig
+from duxwb.mlp import emlp_init, mlp_forward
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,3 +32,35 @@ def test_every_benchmark_hook_resolves(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in workflow.PATCHES if not callable(getattr(owner, attr, None))]
     assert not missing, f"perfbench/workflow.py wraps names the program no longer has: {missing}"
+
+
+def test_benchmark_direct_calls_keep_their_signatures(tmp_path):
+    """perfbench/workflow.py also calls the library directly; these are its
+    calls, with its arguments, on a tiny random train and val split."""
+    rng = np.random.default_rng(0)
+    seed, e, bins, d = 1, 8, 64, DefConfig().feature_length
+
+    def split(n):
+        hists = rng.uniform(0.5, 1.5, (n, 2, bins, bins))
+        return (hists / hists.sum(axis=(2, 3), keepdims=True), rng.standard_normal((n, d)),
+                rng.uniform(0.2, 1.0, (n, 3)))
+
+    train_hists, train_defs, train_gts = split(24)
+    val_hists, val_defs, _ = split(3)
+
+    emlp, res = training.train_emlp(train_defs, train_gts, training.TrainConfig(model="emlp", epochs=2, seed=seed))
+    eccc_p, eccc_res = training.train_eccc(train_hists, train_defs, train_gts,
+                                           training.TrainConfig(model="eccc", epochs=2, lr=5e-3, seed=seed))
+    for log in (res.log, eccc_res.log):
+        assert [np.isfinite(row.loss_mean_deg) for row in log] == [True, True]
+    models.save_model(str(tmp_path / "emlp.ckpt"), models.ModelBundle("emlp", DefConfig(), e, emlp=emlp))
+    models.save_model(str(tmp_path / "eccc.ckpt"), models.ModelBundle("eccc", DefConfig(), e, eccc=eccc_p))
+
+    untrained = mlp_forward(emlp_init(d_in=train_defs.shape[1], seed=seed), val_defs)
+    assert untrained.shape == (3, 3)
+    cfg = training.TrainConfig(model="eccc", seed=seed).resolved()
+    bank, _ = training.init_eccc_biases(train_defs, train_gts, cfg.n_biases, cfg.hist_bins, seed=cfg.seed)
+    init = eccc.init_eccc(bins=cfg.hist_bins, n=cfg.n_biases, variant=cfg.variant, use_def=True,
+                          def_dim=train_defs.shape[1], seed=cfg.seed, biases=bank)
+    direction = eccc._forward_batch(init, hists=val_hists, defs=val_defs)["direction"]
+    assert direction.shape == (3, 3)

@@ -226,6 +226,25 @@ def test_metadata_disagreeing_with_tensors_raises(tmp_path, saved, edited, tenso
         load_model(path)
 
 
+@pytest.mark.parametrize("key", ["bins", "n_biases", "e"])
+@pytest.mark.parametrize("value", ['"x"', "[1]", "16.9", "true", "null"])
+def test_integer_metadata_must_be_a_json_integer(tmp_path, key, value):
+    path = _saved_eccc(tmp_path)
+    _rewrite_manifest(path, lambda lines: [f"meta {key} {value}" if ln.startswith(f"meta {key} ") else ln
+                                           for ln in lines])
+    with pytest.raises(DataError, match=f"'{key}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", ['"true"', "1", "0", "[true]", "null"])
+def test_use_def_metadata_must_be_a_json_boolean(tmp_path, value):
+    path = _saved_eccc(tmp_path)
+    _rewrite_manifest(path, lambda lines: [f"meta use_def {value}" if ln.startswith("meta use_def ") else ln
+                                           for ln in lines])
+    with pytest.raises(DataError, match="'use_def'"):
+        load_model(path)
+
+
 def test_full_bias_shape_checked(tmp_path):
     params = init_eccc(bins=32, n=4, use_def=False, seed=5)
     params.full_bias = np.zeros((16, 16))

@@ -217,11 +217,11 @@ def test_overfit_single_sample():
     x = rng.standard_normal(15)
     gt = np.array([0.9, 0.7, 0.3])
     initial, _ = _loss_and_grads(params, x, gt)
-    state = adam_init(params.tensors(), lr=1e-2)
+    state = adam_init(params.tensors())
     params = MlpParams.from_tensors(state.tensors())
     for _ in range(100):
         _, grads = _loss_and_grads(params, x, gt)
-        adam_step(state, grads)
+        adam_step(state, grads, 1e-2)
     final, _ = _loss_and_grads(params, x, gt)
     assert final < 0.1 * initial
 

@@ -35,43 +35,43 @@ from conftest import random_image
 # ============================================================
 
 def test_adam_zero_gradients_fixed_point():
-    state = adam_init({"w": np.array([1.0, -2.0, 3.0])}, lr=1e-2)
+    state = adam_init({"w": np.array([1.0, -2.0, 3.0])})
     params = state.tensors()
-    ok = adam_step(state, {"w": np.zeros(3)})
+    ok = adam_step(state, {"w": np.zeros(3)}, 1e-2)
     assert ok
     assert np.array_equal(params["w"], [1.0, -2.0, 3.0])
 
 
 def test_adam_weight_decay_shrinks():
-    state = adam_init({"w": np.array([1.0])}, lr=0.1, weight_decay=0.5)
+    state = adam_init({"w": np.array([1.0])}, weight_decay=0.5)
     params = state.tensors()
-    adam_step(state, {"w": np.zeros(1)})
+    adam_step(state, {"w": np.zeros(1)}, 0.1)
     assert params["w"][0] == pytest.approx(1.0 - 0.1 * 0.5)
 
 
 def test_adam_first_step_is_signed_lr():
-    state = adam_init({"w": np.array([0.0])}, lr=1e-3)
+    state = adam_init({"w": np.array([0.0])})
     params = state.tensors()
     g = 0.37
-    adam_step(state, {"w": np.array([g])})
+    adam_step(state, {"w": np.array([g])}, 1e-3)
     # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr
     assert params["w"][0] == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adam_quadratic_bowl_convergence():
-    state = adam_init({"x": np.array([1.0])}, lr=1e-2)
+    state = adam_init({"x": np.array([1.0])})
     params = state.tensors()
     for _ in range(500):
-        adam_step(state, {"x": 2.0 * params["x"]})
+        adam_step(state, {"x": 2.0 * params["x"]}, 1e-2)
     assert abs(params["x"][0]) < 1e-3
 
 
 def test_adam_matches_textbook_trajectory():
-    state = adam_init({"x": np.array([3.0])}, lr=1e-2)
+    state = adam_init({"x": np.array([3.0])})
     params = state.tensors()
     x, m, v = 3.0, 0.0, 0.0
     for t in range(1, 101):
-        adam_step(state, {"x": 2.0 * params["x"]})
+        adam_step(state, {"x": 2.0 * params["x"]}, 1e-2)
         g = 2.0 * x
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
@@ -80,22 +80,21 @@ def test_adam_matches_textbook_trajectory():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    state = adam_init({"w": np.array([1.0])}, lr=1e-2)
+    state = adam_init({"w": np.array([1.0])})
     params = state.tensors()
-    ok = adam_step(state, {"w": np.array([np.nan])})
+    ok = adam_step(state, {"w": np.array([np.nan])}, 1e-2)
     assert not ok
     assert state.rejected == 1
     assert params["w"][0] == 1.0
     assert state.step == 0
 
 
-def _reference_adam_step(state, params, grads, lr=None):
+def _reference_adam_step(state, params, grads, lr):
     """The per-tensor Adam the flat-vector step must match bit for bit;
     ``state`` holds dicts ``m`` and ``v`` and a ``step`` count."""
     for g in grads.values():
         if not np.all(np.isfinite(g)):
             return False
-    rate = 1e-2 if lr is None else lr
     state["step"] += 1
     c1 = 1.0 - 0.9 ** state["step"]
     c2 = 1.0 - 0.999 ** state["step"]
@@ -105,9 +104,9 @@ def _reference_adam_step(state, params, grads, lr=None):
         state["v"][k] = 0.999 * state["v"][k] + (1.0 - 0.999) * (g * g)
         m_hat = state["m"][k] / c1
         v_hat = state["v"][k] / c2
-        p -= rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
         if state["wd"] > 0.0:
-            p -= rate * state["wd"] * p
+            p -= lr * state["wd"] * p
     return True
 
 
@@ -115,17 +114,17 @@ _MIXED_SHAPES = {"w": (9, 15), "b": (9,), "maps": (2, 16, 16), "s": (1,)}
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-@pytest.mark.parametrize("lr_override", [False, True])
-def test_flat_adam_matches_per_tensor_reference_bitwise(weight_decay, lr_override):
+@pytest.mark.parametrize("lr_varies", [False, True])
+def test_flat_adam_matches_per_tensor_reference_bitwise(weight_decay, lr_varies):
     rng = np.random.default_rng(11)
     ref_params = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
-    state = adam_init(ref_params, lr=1e-2, weight_decay=weight_decay)
+    state = adam_init(ref_params, weight_decay=weight_decay)
     params = state.tensors()
     ref = {"m": {k: np.zeros_like(p) for k, p in params.items()},
            "v": {k: np.zeros_like(p) for k, p in params.items()}, "step": 0, "wd": weight_decay}
     for t in range(50):
         grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for k, shape in _MIXED_SHAPES.items()}
-        lr = 5e-3 * (1 + np.cos(t)) if lr_override else None
+        lr = 5e-3 * (1 + np.cos(t)) if lr_varies else 1e-2
         assert adam_step(state, grads, lr=lr)
         assert _reference_adam_step(ref, ref_params, grads, lr=lr)
     assert state.step == ref["step"] == 50
@@ -137,15 +136,15 @@ def test_flat_adam_matches_per_tensor_reference_bitwise(weight_decay, lr_overrid
 
 def test_adam_nan_in_one_tensor_rejects_the_whole_step():
     rng = np.random.default_rng(12)
-    state = adam_init({k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}, lr=1e-2, weight_decay=1e-2)
+    state = adam_init({k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}, weight_decay=1e-2)
     params = state.tensors()
     grads = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
-    assert adam_step(state, grads)
+    assert adam_step(state, grads, 1e-2)
     before = {k: p.copy() for k, p in params.items()}
     m, v = state.m.copy(), state.v.copy()
     bad = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
     bad["maps"][1, 7, 3] = np.nan
-    assert not adam_step(state, bad)
+    assert not adam_step(state, bad, 1e-2)
     assert state.rejected == 1 and state.step == 1
     assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
     for k in params:
@@ -401,6 +400,26 @@ def test_train_emlp_zero_ground_truth_raises():
         train_emlp(np.ones((5, 15)), gts, TrainConfig(model="emlp", epochs=1))
 
 
+def test_train_eccc_feature_path_without_features_raises(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(training, "init_eccc_biases", no_work)
+    monkeypatch.setattr(training, "fft_image", no_work)
+    hists = np.full((4, 2, 16, 16), 1.0 / 256)
+    with pytest.raises(DomainError, match="features"):
+        train_eccc(hists, None, np.ones((4, 3)), TrainConfig(model="eccc"))
+
+
+def test_resolved_reads_the_model_defaults():
+    for model, defaults in training.MODEL_DEFAULTS.items():
+        cfg = TrainConfig(model=model).resolved()
+        assert (cfg.epochs, cfg.lr, cfg.weight_decay) == (defaults["epochs"], defaults["lr"], defaults["weight_decay"])
+        given = TrainConfig(model=model, epochs=3, lr=0.25, weight_decay=0.0).resolved()
+        assert (given.epochs, given.lr, given.weight_decay) == (3, 0.25, 0.0)
+    with pytest.raises(DomainError):
+        TrainConfig(model="cnn").resolved()
+
+
 def test_train_emlp_copies_given_params(rng):
     params = emlp_init(15, seed=5)
     before = [t.copy() for t in params.tensors().values()]
@@ -528,7 +547,6 @@ def test_train_emlp_matches_per_tensor_reference_bitwise(weight_decay):
     params, result = train_emlp(x, gts, cfg)
     want, want_log = _reference_train_emlp(x, gts, cfg)
     _assert_same_tensors(params.tensors(), want)
-    _assert_same_tensors(result.tensors, want)
     assert np.array_equal([row.loss_mean_deg for row in result.log], want_log)
     assert result.skipped_steps == 0 and not result.aborted
 
@@ -547,6 +565,68 @@ def test_train_eccc_matches_per_tensor_reference_bitwise(use_def, weight_decay):
     want, want_log = _reference_train_eccc(hists, feats, gts, cfg)
     _assert_same_tensors(params.tensors(), want)
     assert np.array_equal([(row.loss_mean_deg, row.smoothness_terms) for row in result.log], want_log)
+
+
+def test_emlp_abort_restores_the_last_good_epoch(monkeypatch, rng):
+    """A non-finite epoch mean ends the run at the end of the epoch before it;
+    the rate is constant, so a run of that many epochs is the reference."""
+    x = rng.standard_normal((70, 15))  # 3 steps per epoch
+    gts = np.abs(rng.standard_normal((70, 3))) + 0.2
+    bad_epoch = 3
+    calls = Counter()
+    original = training.angular_loss_unit
+
+    def poisoned(raw, ghat):
+        loss, draw, valid = original(raw, ghat)
+        calls["step"] += 1
+        if calls["step"] == 3 * bad_epoch + 2:  # the second step of bad_epoch
+            loss = loss.copy()
+            loss[0] = np.nan  # the row stays valid, so its gradient is finite
+        return loss, draw, valid
+
+    monkeypatch.setattr(training, "angular_loss_unit", poisoned)
+    params, result = train_emlp(x, gts, TrainConfig(model="emlp", epochs=8, seed=1))
+    monkeypatch.undo()
+    want, ref = train_emlp(x, gts, TrainConfig(model="emlp", epochs=bad_epoch, seed=1))
+
+    assert result.aborted and not ref.aborted
+    assert result.skipped_steps == 0  # the bad epoch's steps were applied, then undone
+    assert len(result.log) == bad_epoch + 1
+    assert np.isnan(result.log[-1].loss_mean_deg)
+    assert [row.loss_mean_deg for row in result.log[:-1]] == [row.loss_mean_deg for row in ref.log]
+    _assert_same_tensors(params.tensors(), want.tensors())
+
+
+def test_eccc_abort_restores_the_last_good_epoch(monkeypatch, rng):
+    bins, n = 16, 40  # batches 16, 16, 32, 32, 64, 64: 3 + 3 + 2 + 2 + 1 + 1 steps
+    hists = np.abs(rng.standard_normal((n, 2, bins, bins))) + 1e-3
+    hists /= hists.sum(axis=(2, 3), keepdims=True)
+    defs = rng.standard_normal((n, 15))
+    gts = np.abs(rng.standard_normal((n, 3))) + 0.2
+    cfg = TrainConfig(model="eccc", epochs=6, n_biases=2, hist_bins=bins, seed=0)
+    bad_epoch, first_bad_step = 3, 3 + 3 + 2 + 1
+    calls, last_good = Counter(), {}
+    original = training._backward_batch
+
+    def poisoned(params, cache, g):
+        loss, grads, parts = original(params, cache, g)
+        calls["step"] += 1
+        if calls["step"] == first_bad_step:  # no update since the last good epoch ended
+            last_good.update({k: t.copy() for k, t in params.tensors().items()})
+            loss = np.nan
+        return loss, grads, parts
+
+    monkeypatch.setattr(training, "_backward_batch", poisoned)
+    params, result = train_eccc(hists, defs, gts, cfg)
+    monkeypatch.undo()
+    _, ref = train_eccc(hists, defs, gts, cfg)
+
+    assert result.aborted and not ref.aborted
+    assert result.skipped_steps == 0
+    assert len(result.log) == bad_epoch + 1
+    assert np.isnan(result.log[-1].loss_mean_deg)
+    assert [row.loss_mean_deg for row in result.log[:-1]] == [row.loss_mean_deg for row in ref.log[:bad_epoch]]
+    _assert_same_tensors(params.tensors(), last_good)
 
 
 def test_training_calls_each_traced_lookup_once_per_step(monkeypatch, rng):
