@@ -107,18 +107,22 @@ def corr_same_multi_fft(
 ) -> np.ndarray:
     """Channel-summed same-size correlation: f_hists (..., J, S, Sc) against kernels (J, K, K).
 
-    When the cached transforms are complex64 the whole path runs in single
-    precision (training tolerates the ~1e-6 rounding; oracle checks use the
-    double path). A precomputed kernel transform skips that work for
+    The result has the precision of f_hists: complex64 transforms give a
+    float32 correlation and complex128 ones a float64 one, and the kernels are
+    transformed at that precision. ECCC keeps its elementwise work in this
+    output's dtype, so single precision carries through a training step
+    (training tolerates the ~1e-6 rounding) and inference and the oracle
+    checks stay double. A precomputed kernel transform skips that work for
     fixed-parameter inference.
     """
     k = kernels.shape[-1]
     size = fft_size(n, k)
     if f_kernels is None:
-        if f_hists.dtype == np.complex64:
-            kernels = kernels.astype(np.float32)
-        f_kernels = fft_flipped(kernels, size)
-    prod = (f_hists * f_kernels).sum(axis=-3)
+        f_kernels = fft_flipped(kernels.astype(np.finfo(f_hists.dtype).dtype, copy=False), size)
+    # channel sum accumulated in place: same bits as (f_hists * f_kernels).sum(axis=-3)
+    prod = f_hists[..., 0, :, :] * f_kernels[0]
+    for j in range(1, f_kernels.shape[0]):
+        prod += f_hists[..., j, :, :] * f_kernels[j]
     return _irfft2_crop(prod, size, k - 1 - (k - 1) // 2, n)
 
 

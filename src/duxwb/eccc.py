@@ -13,6 +13,14 @@ lists them; backward passes are analytic and validated against finite
 differences. The forward and backward cores are batch-first: training runs
 them on minibatches, and eccc_forward runs the same forward for prediction
 (one pair is a batch of one).
+
+Precision follows the correlation. The elementwise work on the (B, h, h)
+maps (bias blend, logits, softmax, expectation marginals, dlogits and the
+bias projection) runs in the dtype of the correlation's output: float32 when
+the histogram transforms are complex64, as train_eccc builds them, and
+float64 when they are complex128, as at inference, in evaluation and in the
+test oracles. The decoded expectations, the losses and every gradient are
+float64 either way, and so is all learnable state.
 """
 
 from __future__ import annotations
@@ -47,10 +55,13 @@ MLP_PREFIX = "mlp_"  # tensor-name prefix of the weighting network's tensors
 
 
 @lru_cache(maxsize=None)
-def _upsampler(bins: int) -> np.ndarray:
+def _upsampler(bins: int, dtype=np.float64) -> np.ndarray:
     """(bins, bins/4) bilinear interpolation matrix r: r @ x @ r.T upsamples a
-    stack of quarter-resolution maps, r.T @ y @ r is its adjoint."""
-    return interp_matrix(bins // UPSAMPLE_FACTOR, bins)
+    stack of quarter-resolution maps, r.T @ y @ r is its adjoint. dtype is the
+    precision of the maps it acts on (module docstring)."""
+    r = interp_matrix(bins // UPSAMPLE_FACTOR, bins).astype(dtype, copy=False)
+    r.flags.writeable = False
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -250,6 +261,8 @@ def _forward_batch(
     else:
         conv = corr_same_multi_fft(hists_fft, r @ params.filters @ r.T, h)
 
+    # the maps from here on stay in the correlation's precision
+    dtype = conv.dtype
     cache = {"hists_fft": hists_fft}
     if params.use_def:
         if defs is None:
@@ -262,21 +275,24 @@ def _forward_batch(
         w = np.exp(logits_w)
         w /= w.sum(axis=1, keepdims=True)
         b_small = np.tensordot(w, params.biases, axes=(1, 0))
-        b_up = r @ b_small @ r.T
+        r_map = _upsampler(h, dtype)
+        b_up = r_map @ b_small.astype(dtype, copy=False) @ r_map.T
         cache.update({"w": w, "trace": trace, "b_small": b_small, "b_up": b_up})
     else:
-        b_up = params.full_bias
+        b_up = params.full_bias.astype(dtype, copy=False)
 
-    logits = conv + b_up
-    flat = logits.reshape(batch, -1)
+    conv += b_up  # the logits
+    flat = conv.reshape(batch, -1)
     flat -= flat.max(axis=1, keepdims=True)
     p = np.exp(flat, out=flat)
     p /= p.sum(axis=1, keepdims=True)
     p = p.reshape(batch, h, h)
 
+    # expectations from the marginals of p, decoded in double precision
     centers = bin_centers(h)
-    lu = np.einsum("bij,i->b", p, centers)
-    lv = np.einsum("bij,j->b", p, centers)
+    c = centers.astype(dtype, copy=False)
+    lu = (p.sum(axis=2) @ c).astype(np.float64)
+    lv = (p.sum(axis=1) @ c).astype(np.float64)
     direction = np.stack([np.exp(-lu), np.ones(batch), np.exp(-lv)], axis=1)
     cache.update({"p": p, "lu": lu, "lv": lv, "direction": direction, "centers": centers})
     return cache
@@ -330,25 +346,26 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     dlv = dd[:, 2] * (-np.exp(-cache["lv"]))
     centers = cache["centers"]
     p = cache["p"]
-    dp = dlu[:, None, None] * centers[None, :, None] + dlv[:, None, None] * centers[None, None, :]
-    inner = (p * dp).sum(axis=(-2, -1), keepdims=True)
-    dlogits = p * (dp - inner)
+    # softmax adjoint of the expectation in closed form: lu = Σ p c_i, so
+    # dlogits = p ⊙ (dlu (c_i - lu) ⊕ dlv (c_j - lv)), two rank-one terms
+    du = (dlu[:, None] * (centers - cache["lu"][:, None])).astype(p.dtype)
+    dv = (dlv[:, None] * (centers - cache["lv"][:, None])).astype(p.dtype)
+    dlogits = du[:, :, None] + dv[:, None, :]
+    dlogits *= p
 
     grads: dict = {}
     # filters: correlation adjoint plus the shared smoothness penalty; the
     # flipped-dlogits transform is shared across filters
-    if cache["hists_fft"].dtype == np.complex64:
-        dlogits_t = dlogits.astype(np.float32)
-    else:
-        dlogits_t = dlogits
-    f_dlogits = fft_flipped(dlogits_t, fft_size(h, h))
+    f_dlogits = fft_flipped(dlogits, fft_size(h, h))
     df_up = grad_kernel_from_products(cache["hists_fft"] * f_dlogits[:, None], h, h)
     grads["filters"] = r.T @ df_up @ r + LAMBDA_FILTER * grad_f_pen
 
     if params.use_def:
-        db_small = r.T @ dlogits @ r + (LAMBDA_BIAS * weight)[:, None, None] * grad_b_pen
-        grads["biases"] = np.einsum("bi,bjk->ijk", cache["w"], db_small)
-        dw = np.einsum("njk,bjk->bn", params.biases, db_small)
+        r_map = _upsampler(h, p.dtype)
+        db_small = r_map.T @ dlogits @ r_map + (LAMBDA_BIAS * weight)[:, None, None] * grad_b_pen
+        db_flat = db_small.reshape(len(db_small), -1)
+        grads["biases"] = (cache["w"].T @ db_flat).reshape(params.biases.shape)
+        dw = db_flat @ params.biases.reshape(params.n_biases, -1).T
         w = cache["w"]
         dlogits_w = w * (dw - (w * dw).sum(axis=1, keepdims=True))
         mlp_grads = mlp_backward(params.mlp, cache["trace"], dlogits_w)

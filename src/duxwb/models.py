@@ -3,6 +3,7 @@ trained under, and move the bundle through the shared checkpoint format."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -11,7 +12,8 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import DualExposurePair, Illuminant
 from .def_feature import DefConfig, DefVector, compute_def
-from .eccc import EcccParams, eccc_forward, hists_for_pair, prepare_predictor, tensor_shapes as eccc_tensor_shapes
+from .eccc import (VARIANTS, EcccParams, eccc_forward, hists_for_pair, prepare_predictor,
+                   tensor_shapes as eccc_tensor_shapes)
 from .errors import DataError
 from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, emlp_forward, tensor_shapes as mlp_tensor_shapes
 from .training import TrainConfig, ensemble
@@ -73,13 +75,22 @@ def _check_shapes(tensors: dict, expected: dict) -> None:
             raise DataError(f"tensor {name!r} has shape {tensors[name].shape}, metadata implies {shape}")
 
 
-def _meta_value(meta: dict, key: str, default, kind: type):
-    """meta[key] (default when absent), which must be a JSON value of kind: int
-    excludes booleans, and nothing is converted."""
+def _meta_value(meta: dict, key: str, default, *kinds: type):
+    """meta[key] (default when absent), which must be a JSON value of one of
+    kinds: int excludes booleans, and nothing is converted."""
     value = meta.get(key, default)
-    if type(value) is not kind:
-        raise DataError(f"checkpoint metadata {key!r} must be {kind.__name__}, got {value!r}")
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise DataError(f"checkpoint metadata {key!r} must be {names}, got {value!r}")
     return value
+
+
+def _leaky_slope(meta: dict) -> float:
+    """The MLP's leaky-ReLU slope: a finite JSON number."""
+    slope = _meta_value(meta, "leaky_slope", DEFAULT_LEAKY_SLOPE, int, float)
+    if not math.isfinite(slope):
+        raise DataError(f"checkpoint metadata 'leaky_slope' must be finite, got {slope!r}")
+    return float(slope)
 
 
 def save_model(path: str, bundle: ModelBundle) -> None:
@@ -109,17 +120,19 @@ def load_model(path: str) -> ModelBundle:
     e = _meta_value(meta, "e", 8, int)
     if kind == "emlp":
         _check_shapes(tensors, mlp_tensor_shapes(def_cfg.feature_length, 3))
-        params = MlpParams.from_tensors(tensors, leaky_slope=meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE))
+        params = MlpParams.from_tensors(tensors, leaky_slope=_leaky_slope(meta))
         return ModelBundle(kind="emlp", def_cfg=def_cfg, e=e, emlp=params)
     if kind == "eccc":
         defaults = TrainConfig()
         use_def = _meta_value(meta, "use_def", defaults.use_def, bool)
         bins = _meta_value(meta, "bins", defaults.hist_bins, int)
-        variant = meta.get("variant", defaults.variant)
+        variant = _meta_value(meta, "variant", defaults.variant, str)
+        if variant not in VARIANTS:
+            raise DataError(f"checkpoint metadata 'variant' must be one of {', '.join(VARIANTS)}, got {variant!r}")
         n = _meta_value(meta, "n_biases", defaults.n_biases, int)
         _check_shapes(tensors, eccc_tensor_shapes(bins, variant, use_def, n, def_cfg.feature_length))
         params = EcccParams.from_tensors(
-            tensors, bins, variant, use_def, leaky_slope=meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE)
+            tensors, bins, variant, use_def, leaky_slope=_leaky_slope(meta) if use_def else DEFAULT_LEAKY_SLOPE
         )
         return ModelBundle(kind="eccc", def_cfg=def_cfg, e=e, eccc=params)
     raise DataError(f"unknown checkpoint kind {kind!r}")

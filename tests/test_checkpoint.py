@@ -182,6 +182,12 @@ def _rewrite_manifest(path, edit):
         fh.write("\n".join(edit(lines)) + "\n")
 
 
+def _set_meta(path, key, value):
+    """Replace the manifest's `meta key` line with the raw JSON text value."""
+    _rewrite_manifest(path, lambda lines: [f"meta {key} {value}" if ln.startswith(f"meta {key} ") else ln
+                                           for ln in lines])
+
+
 def _saved_eccc(tmp_path, def_cfg=None):
     def_cfg = def_cfg or DefConfig()
     params = init_eccc(bins=32, n=4, def_dim=def_cfg.feature_length, seed=5)
@@ -230,8 +236,7 @@ def test_metadata_disagreeing_with_tensors_raises(tmp_path, saved, edited, tenso
 @pytest.mark.parametrize("value", ['"x"', "[1]", "16.9", "true", "null"])
 def test_integer_metadata_must_be_a_json_integer(tmp_path, key, value):
     path = _saved_eccc(tmp_path)
-    _rewrite_manifest(path, lambda lines: [f"meta {key} {value}" if ln.startswith(f"meta {key} ") else ln
-                                           for ln in lines])
+    _set_meta(path, key, value)
     with pytest.raises(DataError, match=f"'{key}'"):
         load_model(path)
 
@@ -239,9 +244,35 @@ def test_integer_metadata_must_be_a_json_integer(tmp_path, key, value):
 @pytest.mark.parametrize("value", ['"true"', "1", "0", "[true]", "null"])
 def test_use_def_metadata_must_be_a_json_boolean(tmp_path, value):
     path = _saved_eccc(tmp_path)
-    _rewrite_manifest(path, lambda lines: [f"meta use_def {value}" if ln.startswith("meta use_def ") else ln
-                                           for ln in lines])
+    _set_meta(path, "use_def", value)
     with pytest.raises(DataError, match="'use_def'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["emlp", "eccc"])
+@pytest.mark.parametrize("value", ['"x"', "[0.1]", "true", "null", "NaN", "Infinity"])
+def test_leaky_slope_metadata_must_be_a_finite_json_number(tmp_path, kind, value):
+    path = _saved_mlp_bundle(tmp_path, kind, lambda mlp: None)
+    _set_meta(path, "leaky_slope", value)
+    with pytest.raises(DataError, match="'leaky_slope'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["emlp", "eccc"])
+@pytest.mark.parametrize("value,slope", [("0", 0.0), ("0.25", 0.25)])
+def test_leaky_slope_metadata_takes_any_json_number(tmp_path, kind, value, slope):
+    path = _saved_mlp_bundle(tmp_path, kind, lambda mlp: None)
+    _set_meta(path, "leaky_slope", value)
+    loaded = load_model(path)
+    mlp = loaded.emlp if kind == "emlp" else loaded.eccc.mlp
+    assert type(mlp.leaky_slope) is float and mlp.leaky_slope == slope
+
+
+@pytest.mark.parametrize("value", ['"bogus"', '"Both"', "1", "null", '["both"]'])
+def test_variant_metadata_must_name_a_variant(tmp_path, value):
+    path = _saved_eccc(tmp_path)
+    _set_meta(path, "variant", value)
+    with pytest.raises(DataError, match="'variant'"):
         load_model(path)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duxwb.convops import (
+    _irfft2_crop,
     SOBEL_U,
     SOBEL_V,
     conv_full_3x3,
@@ -263,6 +264,23 @@ def test_double_precision_transforms_match_scipy_bits(rng, bins, batch):
     prod = f_hists[:, 0] * fft_flipped(dout, size)
     ref = sfft.irfft2(prod.sum(axis=0), (size, size))
     assert np.array_equal(grad_kernel_from_products(prod, bins, bins), ref[start:start + bins, start:start + bins])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("j", [1, 2])
+def test_channel_sum_in_place_matches_the_reduction_bits(rng, dtype, j):
+    """corr_same_multi_fft accumulates its channel sum in place; that is the
+    bits of (f_hists * f_kernels).sum(axis=-3) in either precision."""
+    n = 16
+    size = fft_size(n, n)
+    f_hists = fft_image(rng.random((5, j, n, n)).astype(dtype), size)
+    kernels = rng.standard_normal((j, n, n)).astype(dtype)
+    f_kernels = fft_flipped(kernels, size)
+    ref = _irfft2_crop((f_hists * f_kernels).sum(axis=-3), size, n - 1 - (n - 1) // 2, n)
+    out = corr_same_multi_fft(f_hists, kernels, n)
+    assert out.dtype == dtype
+    assert np.array_equal(out, ref)
+    assert np.array_equal(corr_same_multi_fft(f_hists, kernels, n, f_kernels=f_kernels), ref)
 
 
 def test_single_precision_stays_single(rng):

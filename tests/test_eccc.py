@@ -373,3 +373,25 @@ def test_batched_backward_matches_singles(rng):
     assert loss_b == pytest.approx(np.mean(losses), rel=1e-12)
     for k in grads_b:
         assert np.abs(grads_b[k] - grads_s[k] / 4.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("use_def", [True, False])
+def test_single_precision_step_follows_the_double_step(rng, use_def):
+    """The elementwise work follows the correlation's precision: complex64
+    transforms, as train_eccc builds them, give a float32 probability map,
+    and the step's loss and float64 gradients agree with the double step's."""
+    params = init_eccc(bins=64, n=20, use_def=use_def, seed=11)
+    for _, a in params.tensors().items():
+        a += rng.standard_normal(a.shape) * 0.1
+    hists = np.stack([_random_hists(rng) for _ in range(32)])
+    feats = rng.standard_normal((32, 15)) if use_def else None
+    gts = np.abs(rng.standard_normal((32, 3))) + 0.2
+    single = _forward_batch(params, defs=feats, hists_fft=fft_image(hists.astype(np.float32), fft_size(64, 64)))
+    double = _forward_batch(params, hists, feats)
+    assert single["p"].dtype == np.float32 and double["p"].dtype == np.float64
+    loss_s, grads_s, _ = _backward_batch(params, single, gts)
+    loss_d, grads_d, _ = _backward_batch(params, double, gts)
+    assert loss_s == pytest.approx(loss_d, rel=1e-6)
+    for name, grad in grads_d.items():
+        assert grads_s[name].dtype == np.float64
+        assert np.abs(grads_s[name] - grad).max() <= 1e-5 * np.abs(grad).max(), name
