@@ -251,6 +251,7 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # numpy-backed modules; main() caps the thread pools before this runs
     from .eccc import VARIANTS
+    from .evaluation import BASELINES
     from .training import MODEL_DEFAULTS, TrainConfig
 
     train_defaults = TrainConfig()
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint or baseline on a split")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ckpt")
-    group.add_argument("--baseline", choices=["gray-world", "shades-of-gray"])
+    group.add_argument("--baseline", choices=list(BASELINES))
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
     p.add_argument("--e", type=int, default=0, help="0 = exposure recorded in the checkpoint")

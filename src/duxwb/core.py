@@ -93,10 +93,6 @@ class RawImage:
         """View the image as a 3 x k matrix of pixel columns."""
         return self.data.reshape(3, -1)
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, height: int, width: int) -> "RawImage":
-        return cls(np.asarray(m, dtype=np.float64).reshape(3, height, width))
-
 
 @dataclass
 class DualExposurePair:
@@ -144,12 +140,6 @@ def chromaticity_matrix(m: np.ndarray, eps: float) -> np.ndarray:
         safe = np.where(denom > 0.0, denom, 1.0)
         return m / safe
     return m / denom
-
-
-def to_rgb_chromaticity(img: RawImage, eps: float = 0.0) -> RawImage:
-    """Divide each pixel by its channel sum (plus eps), removing intensity."""
-    out = chromaticity_matrix(img.as_matrix(), eps)
-    return RawImage.from_matrix(out, img.height, img.width)
 
 
 # ============================================================

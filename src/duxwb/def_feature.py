@@ -10,6 +10,7 @@ may drop the covariance block.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .core import (
     DualExposurePair,
-    PinvResult,
     RawImage,
     chromaticity_matrix,
     covariance3,
@@ -47,27 +47,19 @@ class DefConfig:
     eps_ratio: float = 1e-2
     eps_chroma: float = 1e-6
     include_covariance: bool = True
-    # short_to_long fits C mapping the short frame onto the long frame.
-    map_direction: str = "short_to_long"
-    # Append centroid difference and scale to the affine feature (16 entries).
-    tm_extended: bool = False
 
     def __post_init__(self):
         if self.color_repr not in COLOR_REPRS:
             raise DomainError(f"unknown color_repr {self.color_repr!r}")
         if self.mapping not in MAPPINGS:
             raise DomainError(f"unknown mapping {self.mapping!r}")
-        if self.eps_ratio < 0.0 or self.eps_chroma < 0.0:
-            raise DomainError("eps values must be nonnegative")
-        if self.map_direction not in ("short_to_long", "long_to_short"):
-            raise DomainError(f"unknown map_direction {self.map_direction!r}")
+        # false for NaN, infinities and integers too large for a float
+        if not (0.0 <= self.eps_ratio <= sys.float_info.max and 0.0 <= self.eps_chroma <= sys.float_info.max):
+            raise DomainError("eps values must be finite and nonnegative")
 
     @property
     def feature_length(self) -> int:
-        if self.mapping == "affine3x4":
-            n = 16 if self.tm_extended else 12
-        else:
-            n = 9
+        n = 12 if self.mapping == "affine3x4" else 9
         return n + (6 if self.include_covariance else 0)
 
 
@@ -85,20 +77,6 @@ class DefVector:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    def mapping_matrix(self) -> np.ndarray:
-        """Row-major 3x3 mapping block of the default 15-element layout."""
-        return self.values[:9].reshape(3, 3)
-
-    def covariance_matrix(self) -> np.ndarray:
-        """Reconstruct the symmetric covariance from the trailing 6 entries."""
-        if len(self) < 6:
-            raise DomainError("feature has no covariance block")
-        tri = self.values[-6:]
-        cov = np.zeros((3, 3), dtype=np.float64)
-        cov[_TRIU_ROWS, _TRIU_COLS] = tri
-        cov[_TRIU_COLS, _TRIU_ROWS] = tri
-        return cov
 
 
 class AffineResult(NamedTuple):
@@ -214,12 +192,6 @@ def homography_map(source_rg1: np.ndarray, target_rg1: np.ndarray) -> Homography
     return HomographyResult(hm, degenerate)
 
 
-def apply_homography(h: np.ndarray, pts_rg1: np.ndarray) -> np.ndarray:
-    """Map (r, g, 1) rows through a homography with perspective division."""
-    out = np.asarray(h, dtype=np.float64) @ np.asarray(pts_rg1, dtype=np.float64)
-    return out / out[2:3, :]
-
-
 # ============================================================
 # Feature assembly
 # ============================================================
@@ -231,35 +203,16 @@ def compute_def(pair: DualExposurePair, cfg: DefConfig | None = None) -> DefVect
     if k < 16:
         raise DomainError("compute_def requires at least 16 pixels")
 
-    if cfg.map_direction == "short_to_long":
-        src_img, tgt_img = pair.short, pair.long
+    # the map carries the short frame onto the long one
+    if cfg.mapping == "homography3x3":  # always works on (r, g, 1) chroma rows
+        fit = homography_map(_rg1_rows(pair.short, cfg), _rg1_rows(pair.long, cfg))
     else:
-        src_img, tgt_img = pair.long, pair.short
-
-    if cfg.mapping == "linear3x3":
-        src = _represent(src_img, cfg)
-        tgt = _represent(tgt_img, cfg)
-        res: PinvResult = pinv_map(src, tgt)
-        entries = res.matrix.reshape(-1)
-        degenerate = res.degenerate
-    elif cfg.mapping == "affine3x4":
-        src = _represent(src_img, cfg)
-        tgt = _represent(tgt_img, cfg)
-        aff = affine_map(src, tgt)
-        entries = aff.matrix.reshape(-1)
-        degenerate = aff.degenerate
-        if cfg.tm_extended:
-            centroid_diff = tgt.mean(axis=1) - src.mean(axis=1)
-            entries = np.concatenate([entries, centroid_diff, [aff.alpha]])
-    else:  # homography3x3 always works on (r, g, 1) chroma rows
-        src = _rg1_rows(src_img, cfg)
-        tgt = _rg1_rows(tgt_img, cfg)
-        hom = homography_map(src, tgt)
-        entries = hom.matrix.reshape(-1)
-        degenerate = hom.degenerate
+        src, tgt = _represent(pair.short, cfg), _represent(pair.long, cfg)
+        fit = pinv_map(src, tgt) if cfg.mapping == "linear3x3" else affine_map(src, tgt)
+    entries = fit.matrix.reshape(-1)
 
     if cfg.include_covariance:
         cov = covariance3(ratio_image(pair, cfg.eps_ratio))
         entries = np.concatenate([entries, cov[_TRIU_ROWS, _TRIU_COLS]])
 
-    return DefVector(values=entries, degenerate=degenerate)
+    return DefVector(values=entries, degenerate=fit.degenerate)

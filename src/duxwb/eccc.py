@@ -172,10 +172,6 @@ def count_eccc_params(
     return sum(math.prod(shape) for shape in tensor_shapes(bins, variant, use_def, n, def_dim).values())
 
 
-def count_params(params: EcccParams) -> int:
-    return sum(a.size for a in params.tensors().values())
-
-
 def init_eccc(
     bins: int = DEFAULT_BINS,
     n: int = 20,

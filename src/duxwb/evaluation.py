@@ -113,10 +113,7 @@ def shades_of_gray(img: RawImage, p: float = 6.0) -> Illuminant:
     return Illuminant.from_array(means / np.linalg.norm(means))
 
 
-BASELINES = {
-    "gray-world": lambda img: gray_world(img),
-    "shades-of-gray": lambda img: shades_of_gray(img),
-}
+BASELINES = {"gray-world": gray_world, "shades-of-gray": shades_of_gray}
 
 
 # ============================================================

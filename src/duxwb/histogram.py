@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RawImage
+from .core import RawImage, _as_vec3
 from .errors import DomainError, EmptyHistogramError
 
 CHROMA_MIN = -2.85
@@ -96,9 +96,7 @@ def build_histogram(img: RawImage, bins: int = DEFAULT_BINS) -> ChromaHistogram:
 
 def illuminant_to_uv(ill) -> tuple:
     """(u, v) coordinates of an illuminant direction with positive channels."""
-    from .core import Illuminant  # local import avoids a cycle in type usage
-
-    v = ill.as_array() if isinstance(ill, Illuminant) else np.asarray(ill, dtype=np.float64)
+    v = _as_vec3(ill)
     if np.any(v <= 0.0):
         raise DomainError("illuminant must have strictly positive channels for uv encoding")
     return float(np.log(v[1] / v[0])), float(np.log(v[1] / v[2]))

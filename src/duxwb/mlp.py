@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,35 +75,17 @@ def count_params(d_in: int, d_out: int = 3) -> int:
     return sum(math.prod(shape) for shape in tensor_shapes(d_in, d_out).values())
 
 
-def init_mlp(
-    d_in: int,
-    d_out: int,
-    seed: int,
-    leaky_slope: float = DEFAULT_LEAKY_SLOPE,
-    out_bias: Optional[np.ndarray] = None,
-    out_scale: float = 1.0,
-) -> MlpParams:
-    """Glorot-uniform weights, zero biases.
-
-    The output layer can be seeded with a bias direction and a damped weight
-    scale so a freshly initialized network starts at a meaningful constant
-    prediction.
-    """
+def init_mlp(d_in: int, d_out: int, seed: int) -> MlpParams:
+    """Glorot-uniform weights, zero biases."""
     rng = np.random.default_rng(seed)
     shapes = tensor_shapes(d_in, d_out)
     weights, biases = [], []
     for i in range(4):
         fan_out, fan_in = shapes[f"w{i + 1}"]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        if i == 3:
-            w *= out_scale
-        weights.append(w)
-        b = np.zeros(fan_out)
-        if i == 3 and out_bias is not None:
-            b = np.asarray(out_bias, dtype=np.float64).copy()
-        biases.append(b)
-    return MlpParams(weights=weights, biases=biases, leaky_slope=leaky_slope)
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+    return MlpParams(weights=weights, biases=biases)
 
 
 # ============================================================
@@ -202,20 +183,16 @@ def angular_loss_unit(raw: np.ndarray, ghat: np.ndarray):
 # EMLP: the illuminant-estimating specialization
 # ============================================================
 
-def emlp_init(
-    d_in: int = 15,
-    seed: int = 0,
-    leaky_slope: float = DEFAULT_LEAKY_SLOPE,
-    neutral_start: bool = True,
-) -> MlpParams:
+def emlp_init(d_in: int = 15, seed: int = 0) -> MlpParams:
     """Initialize an estimator head.
 
-    With neutral_start the output layer is damped and biased toward neutral
-    gray, so the untrained network behaves like a constant gray predictor.
+    The output layer is damped and biased toward neutral gray, so the
+    untrained network behaves like a constant gray predictor.
     """
-    out_bias = NEUTRAL if neutral_start else None
-    out_scale = 0.05 if neutral_start else 1.0
-    return init_mlp(d_in, 3, seed, leaky_slope, out_bias=out_bias, out_scale=out_scale)
+    params = init_mlp(d_in, 3, seed)
+    params.weights[3] *= 0.05
+    params.biases[3] = NEUTRAL.copy()
+    return params
 
 
 def emlp_forward(params: MlpParams, features: np.ndarray) -> np.ndarray:

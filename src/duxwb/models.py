@@ -3,6 +3,7 @@ trained under, and move the bundle through the shared checkpoint format."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -14,7 +15,7 @@ from .core import DualExposurePair, Illuminant
 from .def_feature import DefConfig, DefVector, compute_def
 from .eccc import (VARIANTS, EcccParams, eccc_forward, hists_for_pair, prepare_predictor,
                    tensor_shapes as eccc_tensor_shapes)
-from .errors import DataError
+from .errors import DataError, DomainError
 from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, emlp_forward, tensor_shapes as mlp_tensor_shapes
 from .training import TrainConfig, ensemble
 
@@ -51,6 +52,10 @@ class ModelBundle:
 
 
 _DEF_PREFIX = "def_"
+# Feature settings that older checkpoints record and DefConfig no longer has.
+# Each loads only at the one value the feature still computes; a re-save
+# drops it.
+_RETIRED_DEF_META = {"def_map_direction": "short_to_long", "def_tm_extended": False}
 
 
 def _def_meta(cfg: DefConfig) -> dict:
@@ -58,12 +63,29 @@ def _def_meta(cfg: DefConfig) -> dict:
 
 
 def _def_from_meta(meta: dict) -> DefConfig:
-    """DefConfig from checkpoint metadata; a missing key keeps the field default."""
-    names = {f.name for f in fields(DefConfig)}
-    values = {k[len(_DEF_PREFIX):]: v for k, v in meta.items() if k.startswith(_DEF_PREFIX)}
-    unknown = sorted(set(values) - names)
+    """DefConfig from checkpoint metadata; a missing key keeps the field default.
+
+    Each key holds the JSON kind of its field's default (a float field takes
+    any JSON number, a bool never) and a value DefConfig accepts on its own.
+    """
+    known = {_DEF_PREFIX + f.name for f in fields(DefConfig)} | _RETIRED_DEF_META.keys()
+    unknown = sorted(k for k in meta if k.startswith(_DEF_PREFIX) and k not in known)
     if unknown:
-        raise DataError("unknown feature settings in checkpoint: " + ", ".join(_DEF_PREFIX + k for k in unknown))
+        raise DataError("unknown feature settings in checkpoint: " + ", ".join(unknown))
+    for key, only in _RETIRED_DEF_META.items():
+        if key in meta and _meta_value(meta, key, only, type(only)) != only:
+            raise DataError(f"checkpoint metadata {key!r} must be {json.dumps(only)}: "
+                            f"the model was trained on a different feature, got {meta[key]!r}")
+    values = {}
+    for f in fields(DefConfig):
+        key = _DEF_PREFIX + f.name
+        kinds = (int, float) if type(f.default) is float else (type(f.default),)
+        value = _meta_value(meta, key, f.default, *kinds)
+        try:
+            DefConfig(**{f.name: value})
+        except DomainError as exc:
+            raise DataError(f"checkpoint metadata {key!r}: {exc}, got {value!r}") from exc
+        values[f.name] = value
     return DefConfig(**values)
 
 

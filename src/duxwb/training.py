@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .convops import fft_image, fft_size
-from .core import DualExposurePair, Illuminant, RawImage
+from .core import DualExposurePair, Illuminant, RawImage, _as_vec3
 from .eccc import EcccParams, _backward_batch, _forward_batch, init_eccc
 from .errors import DomainError
 from .histogram import CHROMA_MIN, CHROMA_MAX
@@ -114,7 +114,10 @@ def _pairwise_sq(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
-def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> ClusterModel:
+KMEANS_MAX_ITER = 100
+
+
+def kmeans(features: np.ndarray, k: int, seed: int = 0) -> ClusterModel:
     """Deterministic Lloyd iteration; empty clusters re-seed from the farthest point."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -142,7 +145,7 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> 
     labels = np.zeros(n, dtype=np.int64)
     inertia = np.inf
     history = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _pairwise_sq(x, centroids)
         labels = d2.argmin(axis=1)
         new_inertia = float(d2[np.arange(n), labels].sum())
@@ -173,8 +176,7 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> 
 
 def von_kries_gains(old_gt, new_gt) -> np.ndarray:
     """Per-channel gains swapping old_gt for new_gt, normalized to G = 1."""
-    old = old_gt.as_array() if isinstance(old_gt, Illuminant) else np.asarray(old_gt, dtype=np.float64)
-    new = new_gt.as_array() if isinstance(new_gt, Illuminant) else np.asarray(new_gt, dtype=np.float64)
+    old, new = _as_vec3(old_gt), _as_vec3(new_gt)
     if np.any(old <= 0.0) or np.any(new <= 0.0):
         raise DomainError("Von Kries transfer needs strictly positive illuminants")
     return (new / new[1]) / (old / old[1])
@@ -184,13 +186,13 @@ def relight_pair(pair: DualExposurePair, new_gt) -> DualExposurePair:
     """Apply the Von Kries diagonal to both frames and clip to [0, 1]."""
     if pair.ground_truth is None:
         raise DomainError("augmentation needs a ground-truth illuminant")
-    gains = von_kries_gains(pair.ground_truth, new_gt)[:, None, None]
-    new_ill = new_gt if isinstance(new_gt, Illuminant) else Illuminant.from_array(new_gt)
+    new = _as_vec3(new_gt)
+    gains = von_kries_gains(pair.ground_truth, new)[:, None, None]
     return DualExposurePair(
         long=RawImage(np.clip(pair.long.data * gains, 0.0, 1.0)),
         short=RawImage(np.clip(pair.short.data * gains, 0.0, 1.0)),
         exposure_factor=pair.exposure_factor,
-        ground_truth=new_ill.normalized(),
+        ground_truth=Illuminant.from_array(new).normalized(),
     )
 
 
@@ -435,8 +437,7 @@ def train_eccc(
 
 def ensemble(a, b) -> Illuminant:
     """Mean of two unit predictions, renormalized."""
-    va = a.as_array() if isinstance(a, Illuminant) else np.asarray(a, dtype=np.float64)
-    vb = b.as_array() if isinstance(b, Illuminant) else np.asarray(b, dtype=np.float64)
+    va, vb = _as_vec3(a), _as_vec3(b)
     mean = (va / np.linalg.norm(va) + vb / np.linalg.norm(vb)) / 2.0
     norm = np.linalg.norm(mean)
     if norm < 1e-12:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from duxwb.core import DualExposurePair, Illuminant, RawImage
+from duxwb.def_feature import _TRIU_COLS, _TRIU_ROWS
 
 
 @pytest.fixture
@@ -19,6 +20,20 @@ def scaled_pair(rng, alpha=0.125, height=8, width=12, gt=None):
     short_img = RawImage(long_img.data * alpha)
     return DualExposurePair(long=long_img, short=short_img, exposure_factor=8.0,
                             ground_truth=gt or Illuminant(1.0, 1.0, 1.0).normalized())
+
+
+def mapping_block(vec):
+    """Row-major 3x3 mapping block of a 15-element DEF."""
+    return vec.values[:9].reshape(3, 3)
+
+
+def covariance_block(vec):
+    """The symmetric 3x3 covariance rebuilt from a DEF's trailing 6 entries."""
+    tri = vec.values[-6:]
+    cov = np.zeros((3, 3))
+    cov[_TRIU_ROWS, _TRIU_COLS] = tri
+    cov[_TRIU_COLS, _TRIU_ROWS] = tri
+    return cov
 
 
 @pytest.fixture

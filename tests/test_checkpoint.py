@@ -2,13 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from duxwb.checkpoint import load_checkpoint, save_checkpoint
 from duxwb.core import DualExposurePair, Illuminant, RawImage
-from duxwb.def_feature import DefConfig
-from duxwb.eccc import count_params, init_eccc
+from duxwb.def_feature import COLOR_REPRS, MAPPINGS, DefConfig
+from duxwb.eccc import init_eccc
 from duxwb.errors import DataError
-from duxwb.mlp import emlp_init
+from duxwb.mlp import emlp_init, init_mlp
 from duxwb import models
 from duxwb.models import ModelBundle, ensemble_predict, load_model, save_model
 from duxwb.synth import SceneSpec, render_pair
@@ -160,7 +161,7 @@ def test_eccc_bundle_round_trip(tmp_path, rng, use_def, variant):
     assert loaded.eccc.variant == variant
     assert loaded.eccc.use_def == use_def
     assert loaded.def_cfg.eps_ratio == 1e-3
-    assert count_params(loaded.eccc) == count_params(params)
+    assert loaded.eccc.tensors().keys() == params.tensors().keys()
     for name, arr in params.tensors().items():
         assert np.array_equal(loaded.eccc.tensors()[name], arr)
 
@@ -200,10 +201,7 @@ def test_feature_meta_keys_unchanged(tmp_path):
     path = _saved_eccc(tmp_path)
     with open(path) as fh:
         keys = [ln.split()[1] for ln in fh if ln.startswith("meta def_")]
-    assert keys == [
-        "def_color_repr", "def_eps_chroma", "def_eps_ratio", "def_include_covariance",
-        "def_map_direction", "def_mapping", "def_tm_extended",
-    ]
+    assert keys == ["def_color_repr", "def_eps_chroma", "def_eps_ratio", "def_include_covariance", "def_mapping"]
 
 
 def test_missing_feature_key_takes_config_default(tmp_path):
@@ -219,6 +217,139 @@ def test_unknown_feature_key_raises(tmp_path):
     _rewrite_manifest(path, lambda lines: lines + ["meta def_mask_saturated true"])
     with pytest.raises(DataError, match="def_mask_saturated"):
         load_model(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("def_eps_ratio", '"x"'), ("def_eps_ratio", "true"), ("def_eps_ratio", "NaN"), ("def_eps_ratio", "Infinity"),
+    ("def_eps_ratio", "-0.5"), ("def_eps_ratio", "[0.01]"), ("def_eps_ratio", "1e400"), ("def_eps_ratio", "1" + "0" * 400),
+    ("def_eps_chroma", "null"), ("def_eps_chroma", "false"), ("def_eps_chroma", "-Infinity"),
+    ("def_include_covariance", '"no"'), ("def_include_covariance", "1"), ("def_include_covariance", "null"),
+    ("def_color_repr", '"bogus"'), ("def_color_repr", "1"), ("def_mapping", '"Linear3x3"'), ("def_mapping", "null"),
+])
+def test_feature_metadata_must_hold_a_value_of_its_field_kind(tmp_path, key, value):
+    path = _saved_eccc(tmp_path)
+    _set_meta(path, key, value)
+    with pytest.raises(DataError, match=f"'{key}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value,eps", [("0", 0), ("0.001", 1e-3), ("2", 2)])
+def test_feature_eps_metadata_takes_any_finite_nonnegative_json_number(tmp_path, value, eps):
+    path = _saved_eccc(tmp_path)
+    _set_meta(path, "def_eps_ratio", value)
+    assert load_model(path).def_cfg.eps_ratio == eps
+
+
+# What checkpoints saved before DefConfig lost map_direction and tm_extended
+# hold for those two settings.
+OLDER_DEF_META = {"def_map_direction": "short_to_long", "def_tm_extended": False}
+
+
+def _bundle_for(kind, def_cfg, rng=None):
+    """An EMLP or ECCC bundle on def_cfg; rng, when given, perturbs every tensor."""
+    d = def_cfg.feature_length
+    if kind == "emlp":
+        bundle = ModelBundle(kind="emlp", def_cfg=def_cfg, e=8, emlp=emlp_init(d, seed=1))
+    else:
+        bundle = ModelBundle(kind="eccc", def_cfg=def_cfg, e=8, eccc=init_eccc(bins=16, n=3, def_dim=d, seed=1))
+    if rng is not None:
+        for arr in (bundle.emlp or bundle.eccc).tensors().values():
+            arr += rng.standard_normal(arr.shape) * 0.3
+    return bundle
+
+
+def _saved_as_older(path, older_path, meta_edit=None):
+    """Copy of the checkpoint at path, as an older save wrote it: with the two
+    retired def_* lines (meta_edit, when given, changes them)."""
+    kind, tensors, meta = load_checkpoint(path)
+    meta.update(OLDER_DEF_META, **(meta_edit or {}))
+    save_checkpoint(older_path, kind, tensors, meta)
+
+
+@pytest.mark.parametrize("kind", ["emlp", "eccc"])
+def test_older_checkpoint_loads_predicts_and_resaves_without_retired_lines(tmp_path, rng, kind):
+    # one file name in three folders, so the manifests' blob lines agree
+    for folder in ("new", "old", "resaved"):
+        os.makedirs(tmp_path / folder)
+    new_path, old_path = str(tmp_path / "new" / "m.ckpt"), str(tmp_path / "old" / "m.ckpt")
+    save_model(new_path, _bundle_for(kind, DefConfig(), rng))
+    _saved_as_older(new_path, old_path)
+    with open(old_path) as fh:
+        old_text = fh.read()
+    assert 'meta def_map_direction "short_to_long"\n' in old_text and "meta def_tm_extended false\n" in old_text
+
+    new, old = load_model(new_path), load_model(old_path)
+    assert old.def_cfg == new.def_cfg
+    for seed in range(3):
+        pair = render_pair(SceneSpec().small(), 8, seed=seed)
+        assert np.array_equal(old.predict_pair(pair).as_array(), new.predict_pair(pair).as_array())
+
+    resaved = str(tmp_path / "resaved" / "m.ckpt")
+    save_model(resaved, old)
+    for suffix in ("", ".bin"):
+        with open(new_path + suffix, "rb") as fa, open(resaved + suffix, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("def_map_direction", "long_to_short"), ("def_map_direction", None), ("def_map_direction", 1),
+    ("def_tm_extended", True), ("def_tm_extended", 0), ("def_tm_extended", "false"),
+])
+def test_older_checkpoint_of_another_feature_raises(tmp_path, key, value):
+    path = _saved_eccc(tmp_path)
+    older = str(tmp_path / "older.ckpt")
+    _saved_as_older(path, older, {key: value})
+    with pytest.raises(DataError, match=f"'{key}'"):
+        load_model(older)
+
+
+_CLI_DEF_CONFIGS = st.builds(
+    DefConfig,
+    color_repr=st.sampled_from(COLOR_REPRS),
+    mapping=st.sampled_from(MAPPINGS),
+    include_covariance=st.booleans(),
+    eps_ratio=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    eps_chroma=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(def_cfg=_CLI_DEF_CONFIGS, kind=st.sampled_from(["emlp", "eccc"]))
+def test_feature_settings_round_trip_property(tmp_path, def_cfg, kind):
+    """Every feature configuration the CLI can set, with any finite eps >= 0,
+    loads back equal, and a second save writes the same bytes."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir(exist_ok=True)
+    second.mkdir(exist_ok=True)
+    save_model(str(first / "m.ckpt"), _bundle_for(kind, def_cfg))
+    loaded = load_model(str(first / "m.ckpt"))
+    assert loaded.def_cfg == def_cfg
+    save_model(str(second / "m.ckpt"), loaded)
+    for name in ("m.ckpt", "m.ckpt.bin"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(models._def_meta(DefConfig())) + sorted(OLDER_DEF_META)), value=_JSON_VALUES)
+def test_any_json_in_a_feature_key_loads_or_raises_data_error(tmp_path, key, value):
+    path = _saved_eccc(tmp_path)
+    kind, tensors, meta = load_checkpoint(path)
+    meta[key] = value
+    save_checkpoint(path, kind, tensors, meta)
+    try:
+        loaded = load_model(path)
+    except DataError:
+        return
+    assert isinstance(loaded.def_cfg, DefConfig)
 
 
 @pytest.mark.parametrize("saved,edited,tensor", [
@@ -327,7 +458,7 @@ def test_missing_mlp_bias_raises(tmp_path, kind, prefix):
     (DefConfig(), False, 1),                 # only the EMLP needs it
 ])
 def test_ensemble_computes_def_once_per_pair(monkeypatch, rng, b_cfg, b_use_def, def_calls):
-    a = ModelBundle(kind="emlp", def_cfg=DefConfig(), e=8, emlp=emlp_init(15, seed=3, neutral_start=False))
+    a = ModelBundle(kind="emlp", def_cfg=DefConfig(), e=8, emlp=init_mlp(15, 3, 3))
     params = init_eccc(bins=32, n=4, use_def=b_use_def, seed=5)
     for arr in params.tensors().values():
         arr += rng.standard_normal(arr.shape) * 0.3

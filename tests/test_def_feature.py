@@ -6,14 +6,13 @@ from duxwb.def_feature import (
     DefConfig,
     DefVector,
     affine_map,
-    apply_homography,
     compute_def,
     homography_map,
     ratio_image,
 )
 from duxwb.errors import DomainError
 
-from conftest import random_image, scaled_pair
+from conftest import covariance_block, mapping_block, random_image, scaled_pair
 
 
 # ============================================================
@@ -56,8 +55,8 @@ def test_neutral_pair_collapse(rng):
     for _ in range(10):
         pair = scaled_pair(rng, alpha=0.125)
         vec = compute_def(pair, cfg)
-        c_c = vec.mapping_matrix()
-        c_v = vec.covariance_matrix()
+        c_c = mapping_block(vec)
+        c_v = covariance_block(vec)
         assert np.linalg.norm(c_c - np.eye(3)) < 1e-6
         assert np.linalg.norm(c_v) < 1e-10
 
@@ -70,7 +69,7 @@ def test_per_channel_scaling_recovered(rng):
     cfg = DefConfig(color_repr="rgb", eps_ratio=0.0, eps_chroma=0.0)
     vec = compute_def(pair, cfg)
     # short -> long mapping inverts the gains
-    assert np.allclose(vec.mapping_matrix(), np.diag(1.0 / gains), atol=1e-6)
+    assert np.allclose(mapping_block(vec), np.diag(1.0 / gains), atol=1e-6)
 
 
 def test_clipped_pair_breaks_neutrality(rng):
@@ -120,9 +119,15 @@ def test_feature_lengths_match_parameter_count_rows():
     assert DefConfig(include_covariance=False).feature_length == 9
     assert DefConfig(mapping="homography3x3", include_covariance=False).feature_length == 9
     assert DefConfig(mapping="affine3x4", include_covariance=False).feature_length == 12
-    assert DefConfig(mapping="affine3x4", include_covariance=False, tm_extended=True).feature_length == 16
     assert DefConfig(mapping="affine3x4").feature_length == 18
     assert DefConfig(mapping="homography3x3").feature_length == 15
+
+
+@pytest.mark.parametrize("eps", [-1e-9, float("nan"), float("inf"), 10**400])
+@pytest.mark.parametrize("field", ["eps_ratio", "eps_chroma"])
+def test_config_rejects_eps_not_finite_and_nonnegative(field, eps):
+    with pytest.raises(DomainError, match="eps"):
+        DefConfig(**{field: eps})
 
 
 def test_compute_def_respects_lengths(rng):
@@ -131,21 +136,11 @@ def test_compute_def_respects_lengths(rng):
         DefConfig(),
         DefConfig(include_covariance=False),
         DefConfig(mapping="affine3x4"),
-        DefConfig(mapping="affine3x4", include_covariance=False, tm_extended=True),
         DefConfig(mapping="homography3x3", include_covariance=False),
         DefConfig(color_repr="rg_chroma"),
         DefConfig(color_repr="rgb"),
     ):
         assert len(compute_def(pair, cfg)) == cfg.feature_length
-
-
-def test_map_direction_configurable(rng):
-    long_img = random_image(rng, 16, 16)
-    short_img = RawImage(long_img.data * np.array([0.5, 0.25, 0.125])[:, None, None])
-    pair = DualExposurePair(long=long_img, short=short_img, exposure_factor=8.0)
-    fwd = compute_def(pair, DefConfig(color_repr="rgb", map_direction="short_to_long"))
-    rev = compute_def(pair, DefConfig(color_repr="rgb", map_direction="long_to_short"))
-    assert np.allclose(fwd.mapping_matrix() @ rev.mapping_matrix(), np.eye(3), atol=1e-6)
 
 
 def test_degenerate_rank_flagged():
@@ -168,7 +163,7 @@ def test_covariance_block_reconstruction(rng):
         long=random_image(rng, 10, 10), short=random_image(rng, 10, 10), exposure_factor=2.0
     )
     vec = compute_def(pair, DefConfig())
-    cov = vec.covariance_matrix()
+    cov = covariance_block(vec)
     assert np.allclose(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() > -1e-8
 
@@ -224,6 +219,12 @@ def test_affine_degenerate_coincident_points():
 # homography_map
 # ============================================================
 
+def _apply_homography(h, pts_rg1):
+    """Map (r, g, 1) rows through a homography with perspective division."""
+    out = h @ pts_rg1
+    return out / out[2:3, :]
+
+
 def _rg1(rng, k):
     pts = rng.uniform(0.1, 0.8, (2, k))
     return np.vstack([pts, np.ones(k)])
@@ -248,7 +249,7 @@ def test_homography_recovers_projective_map(rng):
         h_true = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
         h_true /= h_true[2, 2]
         src = _rg1(rng, 25)
-        tgt = apply_homography(h_true, src)
+        tgt = _apply_homography(h_true, src)
         res = homography_map(src, np.vstack([tgt[0], tgt[1], np.ones(src.shape[1])]))
         assert np.abs(res.matrix - h_true).max() < 1e-6
 
@@ -256,7 +257,7 @@ def test_homography_recovers_projective_map(rng):
 def test_homography_exact_four_points(rng):
     h_true = np.array([[1.1, 0.05, 0.01], [0.03, 0.95, -0.02], [0.2, -0.1, 1.0]])
     src = _rg1(rng, 4)
-    tgt = apply_homography(h_true, src)
+    tgt = _apply_homography(h_true, src)
     res = homography_map(src, tgt)
     assert np.abs(res.matrix - h_true).max() < 1e-6
 

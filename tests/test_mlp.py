@@ -63,7 +63,7 @@ def _interpretive_forward(params, x):
 
 def test_forward_matches_interpretive_evaluator(rng):
     for _ in range(20):
-        params = emlp_init(15, seed=int(rng.integers(1 << 16)), neutral_start=False)
+        params = init_mlp(15, 3, int(rng.integers(1 << 16)))
         x = rng.standard_normal(15)
         assert np.abs(_raw(params, x) - _interpretive_forward(params, x)).max() < 1e-12
 
@@ -118,7 +118,7 @@ def test_forward_output_unit_norm(rng):
 
 def test_forward_clamps_then_normalizes_each_row_like_a_vector(rng):
     """Each estimate has the bits of the 1-D clamp-and-normalize of its raw row."""
-    params = emlp_init(15, seed=5, neutral_start=False)
+    params = init_mlp(15, 3, 5)
     xs = rng.standard_normal((64, 15))
     xs = xs[(mlp_forward(params, xs) > 0.0).any(axis=1)]  # rows with no positive component raise
     raw = mlp_forward(params, xs)
@@ -196,7 +196,7 @@ def _fd_check(params, x, gt, h):
 
 
 def test_gradients_match_finite_differences_h1e5(rng):
-    params = emlp_init(15, seed=11, neutral_start=False)
+    params = init_mlp(15, 3, 11)
     x = rng.standard_normal(15)
     gt = np.abs(rng.standard_normal(3)) + 0.1
     assert _fd_check(params, x, gt, 1e-5) < 1e-3
@@ -205,7 +205,7 @@ def test_gradients_match_finite_differences_h1e5(rng):
 def test_gradients_match_finite_differences_multi_trial():
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        params = emlp_init(15, seed=seed, neutral_start=False)
+        params = init_mlp(15, 3, seed)
         x = rng.standard_normal(15)
         gt = np.abs(rng.standard_normal(3)) + 0.1
         assert _fd_check(params, x, gt, 1e-4) < 1e-3
@@ -260,7 +260,7 @@ def test_batch_forward_matches_single(rng):
 
 
 def test_batch_gradient_is_sum_of_singles(rng):
-    params = emlp_init(15, seed=9, neutral_start=False)
+    params = init_mlp(15, 3, 9)
     xs = rng.standard_normal((4, 15))
     gts = np.abs(rng.standard_normal((4, 3))) + 0.1
     raw, trace = mlp_forward_trace(params, xs)
