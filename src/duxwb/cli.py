@@ -158,9 +158,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_eval_outputs(args, report, results, label: str, e) -> None:
-    from .evaluation import results_csv_rows
+def _evaluate(args, manifest, predict, label: str, e) -> int:
+    """Report predict on args.split. The frames it reads (the auto frame when
+    e is None, else the pair at e) are checked for every scene first."""
+    from .evaluation import evaluate_scenes, results_csv_rows
 
+    keys = ["auto"] if e is None else [f"long_{e}", f"short_{e}"]
+    _check_split_files(args.data, manifest, args.split, keys)
+    report, results = evaluate_scenes(predict, manifest, args.data, args.split)
     payload = report.to_dict(model=label, split=args.split, e=e)
     with open(args.out_report, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -169,6 +174,7 @@ def _write_eval_outputs(args, report, results, label: str, e) -> None:
         with open(args.out_csv, "w", newline="") as fh:
             csv.writer(fh).writerows(results_csv_rows(results))
     print(json.dumps(payload))
+    return 0
 
 
 def _check_split_files(root, manifest, split, keys) -> None:
@@ -186,27 +192,20 @@ def _check_split_files(root, manifest, split, keys) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .evaluation import baseline_predictor, evaluate_scenes
+    from .evaluation import baseline_predictor
     from .models import load_model
     from .synth import DatasetManifest, load_pair
 
     manifest = DatasetManifest.load(args.data)
     if args.baseline:
-        _check_split_files(args.data, manifest, args.split, ["auto"])
-        predict = baseline_predictor(args.baseline, args.data)
-        label, e = args.baseline, None
-    else:
-        bundle = load_model(args.ckpt)
-        e = args.e or bundle.e
-        _check_split_files(args.data, manifest, args.split, [f"long_{e}", f"short_{e}"])
+        return _evaluate(args, manifest, baseline_predictor(args.baseline, args.data), args.baseline, None)
+    bundle = load_model(args.ckpt)
+    e = args.e or bundle.e
 
-        def predict(entry):
-            return bundle.predict_pair(load_pair(args.data, entry, e))
+    def predict(entry):
+        return bundle.predict_pair(load_pair(args.data, entry, e))
 
-        label = bundle.kind
-    report, results = evaluate_scenes(predict, manifest, args.data, args.split)
-    _write_eval_outputs(args, report, results, label, e)
-    return 0
+    return _evaluate(args, manifest, predict, bundle.kind, e)
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -226,22 +225,22 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble_eval(args: argparse.Namespace) -> int:
-    from .evaluation import evaluate_scenes
+    from .errors import DataError
     from .models import ensemble_predict, load_model
     from .synth import DatasetManifest, load_pair
 
     manifest = DatasetManifest.load(args.data)
     bundle_a = load_model(args.ckpt_a)
     bundle_b = load_model(args.ckpt_b)
+    if not args.e and bundle_a.e != bundle_b.e:
+        low, high = sorted((bundle_a.e, bundle_b.e))
+        raise DataError(f"the checkpoints record exposure factors {low} and {high}; choose one with --e")
     e = args.e or bundle_a.e
 
     def predict(entry):
-        pair = load_pair(args.data, entry, e)
-        return ensemble_predict(bundle_a, bundle_b, pair)
+        return ensemble_predict(bundle_a, bundle_b, load_pair(args.data, entry, e))
 
-    report, results = evaluate_scenes(predict, manifest, args.data, args.split)
-    _write_eval_outputs(args, report, results, "ensemble", e)
-    return 0
+    return _evaluate(args, manifest, predict, "ensemble", e)
 
 
 # ============================================================
@@ -252,8 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     # numpy-backed modules; main() caps the thread pools before this runs
     from .eccc import VARIANTS
     from .evaluation import BASELINES
+    from .synth import SceneSpec
     from .training import MODEL_DEFAULTS, TrainConfig
 
+    scene_defaults = SceneSpec()
     train_defaults = TrainConfig()
 
     def model_default(key: str) -> str:
@@ -267,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--e-list", default="2,4,8")
-    p.add_argument("--width", type=int, default=384)
-    p.add_argument("--height", type=int, default=256)
+    p.add_argument("--width", type=int, default=scene_defaults.width)
+    p.add_argument("--height", type=int, default=scene_defaults.height)
     p.add_argument("--small", action="store_true", help="48x32 frames")
     p.add_argument("--splits", default=None, help="train,val,test counts (default: 387:83:86 ratio)")
     p.set_defaults(func=cmd_gen_data)

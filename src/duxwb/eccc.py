@@ -44,7 +44,7 @@ from .convops import (
 )
 from .errors import DegenerateOutputError, DomainError
 from .histogram import DEFAULT_BINS, bin_centers, build_histogram
-from .mlp import (DEFAULT_LEAKY_SLOPE, MlpParams, angular_loss_unit, init_mlp, mlp_backward, mlp_forward_trace,
+from .mlp import (MlpParams, angular_loss_unit, init_mlp, mlp_backward, mlp_forward_trace,
                   row_norms, tensor_shapes as mlp_tensor_shapes, unit_rows)
 
 VARIANTS = ("both", "avg", "short", "long")
@@ -136,19 +136,12 @@ class EcccParams:
         return out
 
     @classmethod
-    def from_tensors(
-        cls,
-        tensors: dict,
-        bins: int,
-        variant: str,
-        use_def: bool,
-        leaky_slope: float = DEFAULT_LEAKY_SLOPE,
-    ) -> "EcccParams":
+    def from_tensors(cls, tensors: dict, bins: int, variant: str, use_def: bool) -> "EcccParams":
         """The model on the given arrays, keyed like tensors(); no copies."""
         mlp = None
         if use_def:
             mlp = MlpParams.from_tensors(
-                {k[len(MLP_PREFIX):]: v for k, v in tensors.items() if k.startswith(MLP_PREFIX)}, leaky_slope
+                {k[len(MLP_PREFIX):]: v for k, v in tensors.items() if k.startswith(MLP_PREFIX)}
             )
         return cls(
             filters=tensors["filters"],

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateOutputError, DomainError
 
 HIDDEN_WIDTH = 9
-DEFAULT_LEAKY_SLOPE = 0.01
+LEAKY_SLOPE = 0.01  # negative-side slope of every hidden LeakyReLU
 # Gradient of acos is clamped once |cos| exceeds this, avoiding the singularity
 # at zero angular error.
 COS_CLAMP = 1.0 - 1e-7
@@ -36,7 +36,6 @@ class MlpParams:
 
     weights: list  # four arrays, (out, in)
     biases: list   # four arrays, (out,)
-    leaky_slope: float = DEFAULT_LEAKY_SLOPE
 
     @property
     def d_in(self) -> int:
@@ -54,10 +53,10 @@ class MlpParams:
         return out
 
     @classmethod
-    def from_tensors(cls, tensors: dict, leaky_slope: float = DEFAULT_LEAKY_SLOPE) -> "MlpParams":
+    def from_tensors(cls, tensors: dict) -> "MlpParams":
         weights = [np.asarray(tensors[f"w{i}"], dtype=np.float64) for i in range(1, 5)]
         biases = [np.asarray(tensors[f"b{i}"], dtype=np.float64) for i in range(1, 5)]
-        return cls(weights=weights, biases=biases, leaky_slope=leaky_slope)
+        return cls(weights=weights, biases=biases)
 
 
 def tensor_shapes(d_in: int, d_out: int) -> dict:
@@ -102,9 +101,9 @@ def mlp_forward_trace(params: MlpParams, x: np.ndarray):
     """Forward pass over a (B, d_in) batch, keeping what the backward pass needs.
 
     The trace holds each layer's input ("a", four arrays) and each hidden
-    layer's LeakyReLU derivative ("slope": 1 where z >= 0, else the leaky
-    slope). The activation is z times that derivative, which equals
-    where(z >= 0, z, slope * z) bit for bit, so the mask is formed once.
+    layer's LeakyReLU derivative ("slope": 1 where z >= 0, else
+    LEAKY_SLOPE). The activation is z times that derivative, which equals
+    where(z >= 0, z, LEAKY_SLOPE * z) bit for bit, so the mask is formed once.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.d_in:
@@ -112,7 +111,7 @@ def mlp_forward_trace(params: MlpParams, x: np.ndarray):
     inputs, slopes = [a], []
     for i in range(3):
         z = a @ params.weights[i].T + params.biases[i]
-        d = np.where(z >= 0.0, 1.0, params.leaky_slope)
+        d = np.where(z >= 0.0, 1.0, LEAKY_SLOPE)
         a = z * d
         slopes.append(d)
         inputs.append(a)

@@ -4,7 +4,6 @@ trained under, and move the bundle through the shared checkpoint format."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -16,7 +15,7 @@ from .def_feature import DefConfig, DefVector, compute_def
 from .eccc import (VARIANTS, EcccParams, eccc_forward, hists_for_pair, prepare_predictor,
                    tensor_shapes as eccc_tensor_shapes)
 from .errors import DataError, DomainError
-from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, emlp_forward, tensor_shapes as mlp_tensor_shapes
+from .mlp import LEAKY_SLOPE, MlpParams, emlp_forward, tensor_shapes as mlp_tensor_shapes
 from .training import TrainConfig, ensemble
 
 
@@ -52,10 +51,14 @@ class ModelBundle:
 
 
 _DEF_PREFIX = "def_"
-# Feature settings that older checkpoints record and DefConfig no longer has.
-# Each loads only at the one value the feature still computes; a re-save
-# drops it.
-_RETIRED_DEF_META = {"def_map_direction": "short_to_long", "def_tm_extended": False}
+# Settings that older checkpoints record and the model no longer has: key ->
+# (the one value the code still computes with, what another value means).
+# Each loads only at that value; a re-save drops it.
+_RETIRED_META = {
+    "def_map_direction": ("short_to_long", "a different feature"),
+    "def_tm_extended": (False, "a different feature"),
+    "leaky_slope": (LEAKY_SLOPE, "a different activation"),
+}
 
 
 def _def_meta(cfg: DefConfig) -> dict:
@@ -68,14 +71,10 @@ def _def_from_meta(meta: dict) -> DefConfig:
     Each key holds the JSON kind of its field's default (a float field takes
     any JSON number, a bool never) and a value DefConfig accepts on its own.
     """
-    known = {_DEF_PREFIX + f.name for f in fields(DefConfig)} | _RETIRED_DEF_META.keys()
+    known = {_DEF_PREFIX + f.name for f in fields(DefConfig)} | _RETIRED_META.keys()
     unknown = sorted(k for k in meta if k.startswith(_DEF_PREFIX) and k not in known)
     if unknown:
         raise DataError("unknown feature settings in checkpoint: " + ", ".join(unknown))
-    for key, only in _RETIRED_DEF_META.items():
-        if key in meta and _meta_value(meta, key, only, type(only)) != only:
-            raise DataError(f"checkpoint metadata {key!r} must be {json.dumps(only)}: "
-                            f"the model was trained on a different feature, got {meta[key]!r}")
     values = {}
     for f in fields(DefConfig):
         key = _DEF_PREFIX + f.name
@@ -107,19 +106,18 @@ def _meta_value(meta: dict, key: str, default, *kinds: type):
     return value
 
 
-def _leaky_slope(meta: dict) -> float:
-    """The MLP's leaky-ReLU slope: a finite JSON number."""
-    slope = _meta_value(meta, "leaky_slope", DEFAULT_LEAKY_SLOPE, int, float)
-    if not math.isfinite(slope):
-        raise DataError(f"checkpoint metadata 'leaky_slope' must be finite, got {slope!r}")
-    return float(slope)
+def _check_retired(meta: dict) -> None:
+    """Each retired setting the metadata records must hold its one value."""
+    for key, (only, other) in _RETIRED_META.items():
+        if key in meta and _meta_value(meta, key, only, type(only)) != only:
+            raise DataError(f"checkpoint metadata {key!r} must be {json.dumps(only)}: "
+                            f"the model was trained with {other}, got {meta[key]!r}")
 
 
 def save_model(path: str, bundle: ModelBundle) -> None:
     meta = {"e": bundle.e}
     meta.update(_def_meta(bundle.def_cfg))
     if bundle.kind == "emlp":
-        meta["leaky_slope"] = bundle.emlp.leaky_slope
         save_checkpoint(path, "emlp", bundle.emlp.tensors(), meta)
         return
     p = bundle.eccc
@@ -131,18 +129,19 @@ def save_model(path: str, bundle: ModelBundle) -> None:
             "use_def": p.use_def,
         }
     )
-    if p.use_def:
-        meta["leaky_slope"] = p.mlp.leaky_slope
     save_checkpoint(path, "eccc", p.tensors(), meta)
 
 
 def load_model(path: str) -> ModelBundle:
     kind, tensors, meta = load_checkpoint(path)
+    _check_retired(meta)
     def_cfg = _def_from_meta(meta)
     e = _meta_value(meta, "e", 8, int)
+    if e < 2:  # an exposure factor must exceed 1
+        raise DataError(f"checkpoint metadata 'e' must be an integer of at least 2, got {e!r}")
     if kind == "emlp":
         _check_shapes(tensors, mlp_tensor_shapes(def_cfg.feature_length, 3))
-        params = MlpParams.from_tensors(tensors, leaky_slope=_leaky_slope(meta))
+        params = MlpParams.from_tensors(tensors)
         return ModelBundle(kind="emlp", def_cfg=def_cfg, e=e, emlp=params)
     if kind == "eccc":
         defaults = TrainConfig()
@@ -153,9 +152,7 @@ def load_model(path: str) -> ModelBundle:
             raise DataError(f"checkpoint metadata 'variant' must be one of {', '.join(VARIANTS)}, got {variant!r}")
         n = _meta_value(meta, "n_biases", defaults.n_biases, int)
         _check_shapes(tensors, eccc_tensor_shapes(bins, variant, use_def, n, def_cfg.feature_length))
-        params = EcccParams.from_tensors(
-            tensors, bins, variant, use_def, leaky_slope=_leaky_slope(meta) if use_def else DEFAULT_LEAKY_SLOPE
-        )
+        params = EcccParams.from_tensors(tensors, bins, variant, use_def)
         return ModelBundle(kind="eccc", def_cfg=def_cfg, e=e, eccc=params)
     raise DataError(f"unknown checkpoint kind {kind!r}")
 

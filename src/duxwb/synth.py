@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import List, Optional, Sequence
 
 import numpy as np

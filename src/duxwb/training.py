@@ -23,14 +23,20 @@ import numpy as np
 
 from .convops import fft_image, fft_size
 from .core import DualExposurePair, Illuminant, RawImage, _as_vec3
-from .eccc import EcccParams, _backward_batch, _forward_batch, init_eccc
+from .eccc import UPSAMPLE_FACTOR, EcccParams, _backward_batch, _forward_batch, init_eccc
 from .errors import DomainError
-from .histogram import CHROMA_MIN, CHROMA_MAX
-from .mlp import DEFAULT_LEAKY_SLOPE, MlpParams, angular_loss_unit, emlp_init, mlp_backward, mlp_forward_trace, unit_rows
+from .histogram import CHROMA_MIN, DEFAULT_BINS, bin_width
+from .mlp import MlpParams, angular_loss_unit, emlp_init, mlp_backward, mlp_forward_trace, unit_rows
 
 # ============================================================
 # Adam
 # ============================================================
+
+# Kingma and Ba's defaults: moment decay rates and the denominator's epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -48,9 +54,6 @@ class AdamState:
     v: np.ndarray
     layout: dict  # tensor name -> (slice, shape), in the params dict's order
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     rejected: int = 0  # steps skipped because a gradient was non-finite
 
@@ -81,11 +84,11 @@ def adam_step(state: AdamState, grads: dict, lr: float) -> bool:
         state.rejected += 1
         return False
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    state.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    state.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
     if state.weight_decay > 0.0:
         state.params -= lr * state.weight_decay * state.params
     return True
@@ -224,8 +227,8 @@ def init_eccc_biases(train_defs: np.ndarray, train_gts: np.ndarray, n: int, bins
     defs = np.asarray(train_defs, dtype=np.float64)
     gts = np.asarray(train_gts, dtype=np.float64)
     model = kmeans(defs, n, seed=seed)
-    h4 = bins // 4
-    eps4 = (CHROMA_MAX - CHROMA_MIN) / h4
+    h4 = bins // UPSAMPLE_FACTOR
+    eps4 = bin_width(h4)
     u = np.log(gts[:, 1] / gts[:, 0])
     v = np.log(gts[:, 1] / gts[:, 2])
     iu = np.clip(np.floor((u - CHROMA_MIN) / eps4).astype(np.int64), 0, h4 - 1)
@@ -246,7 +249,8 @@ def init_eccc_biases(train_defs: np.ndarray, train_gts: np.ndarray, n: int, bins
 # Training configuration and loops
 # ============================================================
 
-# What TrainConfig's sentinels (0 epochs, 0 lr, negative weight decay) stand for.
+# What TrainConfig's sentinels (0 epochs, 0 lr) stand for, and each model's
+# decoupled weight decay.
 MODEL_DEFAULTS = {
     "emlp": {"epochs": 1000, "lr": 1e-3, "weight_decay": 0.0},
     "eccc": {"epochs": 200, "lr": 5e-3, "weight_decay": 1e-5},
@@ -257,13 +261,11 @@ MODEL_DEFAULTS = {
 class TrainConfig:
     model: str = "emlp"               # "emlp" | "eccc"
     epochs: int = 0                   # 0 picks MODEL_DEFAULTS[model]
-    batch_size: int = 32              # emlp only; eccc grows 16 -> 32 -> 64 at epoch thirds
     lr: float = 0.0                   # 0 picks MODEL_DEFAULTS[model]
-    weight_decay: float = -1.0        # <0 picks MODEL_DEFAULTS[model]
     seed: int = 0
     # eccc knobs
     n_biases: int = 20
-    hist_bins: int = 64
+    hist_bins: int = DEFAULT_BINS
     variant: str = "both"
     use_def: bool = True
     bias_init: bool = True
@@ -272,12 +274,7 @@ class TrainConfig:
         if self.model not in MODEL_DEFAULTS:
             raise DomainError(f"unknown model {self.model!r}")
         d = MODEL_DEFAULTS[self.model]
-        return replace(
-            self,
-            epochs=self.epochs or d["epochs"],
-            lr=self.lr or d["lr"],
-            weight_decay=self.weight_decay if self.weight_decay >= 0 else d["weight_decay"],
-        )
+        return replace(self, epochs=self.epochs or d["epochs"], lr=self.lr or d["lr"])
 
 
 @dataclass
@@ -333,6 +330,9 @@ def _train(state: AdamState, n: int, schedule: list, step: Callable, seed: int) 
     return TrainResult(log, aborted=False, skipped_steps=skipped)
 
 
+EMLP_BATCH_SIZE = 32
+
+
 def _eccc_batch_size(epoch: int, epochs: int) -> int:
     """ECCC batch size: 16 -> 32 -> 64 at epoch thirds."""
     third = epochs / 3.0
@@ -363,8 +363,8 @@ def train_emlp(
     ghat = unit_rows(gts)  # row norms do not depend on the batch
     if params is None:
         params = emlp_init(d_in=x.shape[1], seed=cfg.seed)
-    state = adam_init(params.tensors(), weight_decay=cfg.weight_decay)
-    params = MlpParams.from_tensors(state.tensors(), leaky_slope=params.leaky_slope)
+    state = adam_init(params.tensors(), weight_decay=MODEL_DEFAULTS[cfg.model]["weight_decay"])
+    params = MlpParams.from_tensors(state.tensors())
 
     def step(idx):
         raw, trace = mlp_forward_trace(params, x[idx])
@@ -375,7 +375,7 @@ def train_emlp(
         grads = mlp_backward(params, trace, draw / n_valid)
         return grads, float(loss.sum() if n_valid == len(loss) else np.nansum(loss)), n_valid, 0.0
 
-    return params, _train(state, len(x), [(cfg.lr, cfg.batch_size)] * cfg.epochs, step, cfg.seed)
+    return params, _train(state, len(x), [(cfg.lr, EMLP_BATCH_SIZE)] * cfg.epochs, step, cfg.seed)
 
 
 def train_eccc(
@@ -413,11 +413,8 @@ def train_eccc(
             seed=cfg.seed,
             biases=bank,
         )
-    state = adam_init(params.tensors(), weight_decay=cfg.weight_decay)
-    params = EcccParams.from_tensors(
-        state.tensors(), params.bins, params.variant, params.use_def,
-        leaky_slope=params.mlp.leaky_slope if params.use_def else DEFAULT_LEAKY_SLOPE,
-    )
+    state = adam_init(params.tensors(), weight_decay=MODEL_DEFAULTS[cfg.model]["weight_decay"])
+    params = EcccParams.from_tensors(state.tensors(), params.bins, params.variant, params.use_def)
     # histograms never change during a run, so transform them once; single
     # precision halves the cache and the per-step transform cost
     hists_fft = fft_image(np.asarray(hists, dtype=np.float32), fft_size(cfg.hist_bins, cfg.hist_bins))

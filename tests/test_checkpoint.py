@@ -240,9 +240,10 @@ def test_feature_eps_metadata_takes_any_finite_nonnegative_json_number(tmp_path,
     assert load_model(path).def_cfg.eps_ratio == eps
 
 
-# What checkpoints saved before DefConfig lost map_direction and tm_extended
-# hold for those two settings.
-OLDER_DEF_META = {"def_map_direction": "short_to_long", "def_tm_extended": False}
+# What checkpoints saved before DefConfig lost map_direction and tm_extended,
+# and before the MLP's LeakyReLU slope became a constant, hold for those
+# settings.
+OLDER_META = {"def_map_direction": "short_to_long", "def_tm_extended": False, "leaky_slope": 0.01}
 
 
 def _bundle_for(kind, def_cfg, rng=None):
@@ -259,10 +260,10 @@ def _bundle_for(kind, def_cfg, rng=None):
 
 
 def _saved_as_older(path, older_path, meta_edit=None):
-    """Copy of the checkpoint at path, as an older save wrote it: with the two
-    retired def_* lines (meta_edit, when given, changes them)."""
+    """Copy of the checkpoint at path, as an older save wrote it: with the
+    retired lines (meta_edit, when given, changes them)."""
     kind, tensors, meta = load_checkpoint(path)
-    meta.update(OLDER_DEF_META, **(meta_edit or {}))
+    meta.update(OLDER_META, **(meta_edit or {}))
     save_checkpoint(older_path, kind, tensors, meta)
 
 
@@ -277,6 +278,7 @@ def test_older_checkpoint_loads_predicts_and_resaves_without_retired_lines(tmp_p
     with open(old_path) as fh:
         old_text = fh.read()
     assert 'meta def_map_direction "short_to_long"\n' in old_text and "meta def_tm_extended false\n" in old_text
+    assert "meta leaky_slope 0.01\n" in old_text
 
     new, old = load_model(new_path), load_model(old_path)
     assert old.def_cfg == new.def_cfg
@@ -339,7 +341,7 @@ _JSON_VALUES = st.recursive(
 
 @settings(derandomize=True, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(key=st.sampled_from(sorted(models._def_meta(DefConfig())) + sorted(OLDER_DEF_META)), value=_JSON_VALUES)
+@given(key=st.sampled_from(sorted(models._def_meta(DefConfig())) + sorted(OLDER_META)), value=_JSON_VALUES)
 def test_any_json_in_a_feature_key_loads_or_raises_data_error(tmp_path, key, value):
     path = _saved_eccc(tmp_path)
     kind, tensors, meta = load_checkpoint(path)
@@ -380,23 +382,31 @@ def test_use_def_metadata_must_be_a_json_boolean(tmp_path, value):
         load_model(path)
 
 
+@pytest.mark.parametrize("value", ["0", "1", "-8"])
+def test_exposure_metadata_below_two_raises(tmp_path, value):
+    path = _saved_eccc(tmp_path)
+    _set_meta(path, "e", value)
+    with pytest.raises(DataError, match="'e'"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("kind", ["emlp", "eccc"])
 @pytest.mark.parametrize("value", ['"x"', "[0.1]", "true", "null", "NaN", "Infinity"])
 def test_leaky_slope_metadata_must_be_a_finite_json_number(tmp_path, kind, value):
     path = _saved_mlp_bundle(tmp_path, kind, lambda mlp: None)
-    _set_meta(path, "leaky_slope", value)
+    _rewrite_manifest(path, lambda lines: lines + [f"meta leaky_slope {value}"])
     with pytest.raises(DataError, match="'leaky_slope'"):
         load_model(path)
 
 
 @pytest.mark.parametrize("kind", ["emlp", "eccc"])
-@pytest.mark.parametrize("value,slope", [("0", 0.0), ("0.25", 0.25)])
-def test_leaky_slope_metadata_takes_any_json_number(tmp_path, kind, value, slope):
+@pytest.mark.parametrize("value", [0, 0.25])
+def test_older_checkpoint_of_another_activation_raises(tmp_path, kind, value):
     path = _saved_mlp_bundle(tmp_path, kind, lambda mlp: None)
-    _set_meta(path, "leaky_slope", value)
-    loaded = load_model(path)
-    mlp = loaded.emlp if kind == "emlp" else loaded.eccc.mlp
-    assert type(mlp.leaky_slope) is float and mlp.leaky_slope == slope
+    older = str(tmp_path / "older.ckpt")
+    _saved_as_older(path, older, {"leaky_slope": value})
+    with pytest.raises(DataError, match="'leaky_slope'"):
+        load_model(older)
 
 
 @pytest.mark.parametrize("value", ['"bogus"', '"Both"', "1", "null", '["both"]'])

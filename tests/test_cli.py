@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -100,6 +101,65 @@ def test_train_eval_eccc_and_ensemble(dataset, tmp_path):
         payload = json.load(fh)
     assert payload["model"] == "ensemble"
     assert payload["n_scenes"] > 0
+
+
+def _saved_bundles(tmp_path, e_a, e_b):
+    """An EMLP (a) and an ECCC (b) checkpoint with perturbed tensors, recording e_a and e_b."""
+    from duxwb.def_feature import DefConfig
+    from duxwb.eccc import init_eccc
+    from duxwb.mlp import emlp_init
+    from duxwb.models import ModelBundle, save_model
+
+    rng = np.random.default_rng(7)
+    bundles = {"a": ModelBundle(kind="emlp", def_cfg=DefConfig(), e=e_a, emlp=emlp_init(15, seed=1)),
+               "b": ModelBundle(kind="eccc", def_cfg=DefConfig(), e=e_b, eccc=init_eccc(bins=32, n=3, seed=1))}
+    paths = {}
+    for name, bundle in bundles.items():
+        for arr in (bundle.emlp or bundle.eccc).tensors().values():
+            arr += rng.standard_normal(arr.shape) * 0.3
+        paths[name] = str(tmp_path / f"{name}.ckpt")
+        save_model(paths[name], bundle)
+    return paths["a"], paths["b"]
+
+
+def _ensemble_eval(ckpt_a, ckpt_b, data, out, *extra):
+    return run_cli(["ensemble-eval", "--ckpt-a", ckpt_a, "--ckpt-b", ckpt_b, "--data", data, "--split", "val",
+                    "--out-report", out + ".json", "--out-csv", out + ".csv", *extra])
+
+
+def test_ensemble_eval_is_symmetric_in_its_checkpoints(dataset, tmp_path):
+    a, b = _saved_bundles(tmp_path, 8, 8)
+    ab, ba = str(tmp_path / "ab"), str(tmp_path / "ba")
+    assert _ensemble_eval(a, b, dataset, ab) == 0
+    assert _ensemble_eval(b, a, dataset, ba) == 0
+    for suffix in (".json", ".csv"):
+        with open(ab + suffix, "rb") as fa, open(ba + suffix, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def test_ensemble_eval_needs_one_exposure_factor(dataset, tmp_path, capsys):
+    a, b = _saved_bundles(tmp_path, 8, 2)
+    out = str(tmp_path / "ens")
+    assert _ensemble_eval(a, b, dataset, out) == 1
+    assert "2 and 8" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+    assert _ensemble_eval(a, b, dataset, out, "--e", "8") == 0
+    with open(out + ".json") as fh:
+        assert json.load(fh)["e"] == 8
+
+
+def test_ensemble_eval_checks_the_split_before_it_reports(dataset, tmp_path, capsys):
+    data = str(tmp_path / "d")
+    shutil.copytree(dataset, data)
+    with open(os.path.join(data, "manifest.json")) as fh:
+        entry = next(s for s in json.load(fh)["scenes"] if s["split"] == "val")
+    os.remove(os.path.join(data, entry["files"]["short_8"]))
+    a, b = _saved_bundles(tmp_path, 8, 8)
+    out = str(tmp_path / "ens")
+    assert _ensemble_eval(a, b, data, out) == 1
+    err = capsys.readouterr().err
+    assert "missing ['long_8', 'short_8'] frames" in err and entry["scene_id"] in err
+    assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
 
 
 def test_train_eccc_no_def_variant(dataset, tmp_path):

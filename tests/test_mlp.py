@@ -3,6 +3,7 @@ import pytest
 
 from duxwb.errors import DegenerateOutputError, DomainError
 from duxwb.mlp import (
+    LEAKY_SLOPE,
     MlpParams,
     angular_loss_unit,
     count_params,
@@ -44,7 +45,6 @@ def _raw(params, x):
 
 def _interpretive_forward(params, x):
     """Straight-line scalar evaluation of the four-layer formula."""
-    slope = params.leaky_slope
     a = list(x)
     for layer in range(4):
         w = params.weights[layer]
@@ -55,7 +55,7 @@ def _interpretive_forward(params, x):
             for j in range(w.shape[1]):
                 acc += float(w[i, j]) * a[j]
             if layer < 3:
-                acc = acc if acc >= 0.0 else slope * acc
+                acc = acc if acc >= 0.0 else LEAKY_SLOPE * acc
             out.append(acc)
         a = out
     return np.array(a)
