@@ -49,6 +49,27 @@ def _add_def_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-cov", action="store_true", help="drop the covariance block of the feature")
 
 
+def _exposure(text: str, zero_means: str = "") -> int:
+    """An exposure factor: an integer of at least 2, or 0 when zero_means
+    names what 0 stands for."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 2 and not (zero_means and value == 0):
+        alternative = f", or 0 for {zero_means}" if zero_means else ""
+        raise argparse.ArgumentTypeError(f"exposure factor must be an integer of at least 2{alternative}, got {text!r}")
+    return value
+
+
+def _exposure_or_zero(text: str) -> int:
+    return _exposure(text, "the checkpoint's")
+
+
+def _exposure_list(text: str) -> list:
+    return [_exposure(v) for v in text.split(",")]
+
+
 # ============================================================
 # Subcommands
 # ============================================================
@@ -65,7 +86,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     manifest = generate_dataset(
         args.out,
         n_scenes=args.scenes,
-        e_list=[int(v) for v in args.e_list.split(",")],
+        e_list=args.e_list,
         seed=args.seed,
         spec=spec,
         splits=splits,
@@ -75,12 +96,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_extract_def(args: argparse.Namespace) -> int:
-    from .def_feature import compute_def
-    from .synth import DatasetManifest, load_pair
+    from .pipeline import split_chunks
+    from .synth import DatasetManifest
 
     manifest = DatasetManifest.load(args.data)
     cfg = _def_config(args)
     scenes = manifest.scenes_for(args.split)
+    rows = (row for chunk in split_chunks(args.data, manifest, args.split, args.e) for row in chunk.defs(cfg))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         width = cfg.feature_length
@@ -88,10 +110,8 @@ def cmd_extract_def(args: argparse.Namespace) -> int:
         if args.with_gt:
             header += ["gt_r", "gt_g", "gt_b"]
         writer.writerow(header)
-        for entry in scenes:
-            pair = load_pair(args.data, entry, args.e)
-            vec = compute_def(pair, cfg)
-            row = [entry.scene_id, args.e] + [repr(float(v)) for v in vec.values]
+        for entry, values in zip(scenes, rows):
+            row = [entry.scene_id, args.e] + [repr(float(v)) for v in values]
             if args.with_gt:
                 row += [repr(float(v)) for v in entry.gt]
             writer.writerow(row)
@@ -191,21 +211,31 @@ def _check_split_files(root, manifest, split, keys) -> None:
         raise DataError(f"missing {keys} frames for scenes: {', '.join(missing)}")
 
 
+def _row_predictor(args, manifest, e, estimate):
+    """predict(entry) for evaluate_scenes over args.split: the split's pairs
+    are read and featurised a chunk at a time, in the order evaluate_scenes
+    asks for them, and estimate(chunk, i) runs on each pair's row."""
+    from .pipeline import split_chunks
+
+    rows = ((chunk, i) for chunk in split_chunks(args.data, manifest, args.split, e) for i in range(len(chunk)))
+
+    def predict(entry):
+        return estimate(*next(rows))
+
+    return predict
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import baseline_predictor
     from .models import load_model
-    from .synth import DatasetManifest, load_pair
+    from .synth import DatasetManifest
 
     manifest = DatasetManifest.load(args.data)
     if args.baseline:
         return _evaluate(args, manifest, baseline_predictor(args.baseline, args.data), args.baseline, None)
     bundle = load_model(args.ckpt)
     e = args.e or bundle.e
-
-    def predict(entry):
-        return bundle.predict_pair(load_pair(args.data, entry, e))
-
-    return _evaluate(args, manifest, predict, bundle.kind, e)
+    return _evaluate(args, manifest, _row_predictor(args, manifest, e, bundle.predict_row), bundle.kind, e)
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -226,8 +256,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     from .errors import DataError
-    from .models import ensemble_predict, load_model
-    from .synth import DatasetManifest, load_pair
+    from .models import load_model
+    from .synth import DatasetManifest
+    from .training import ensemble
 
     manifest = DatasetManifest.load(args.data)
     bundle_a = load_model(args.ckpt_a)
@@ -237,10 +268,11 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
         raise DataError(f"the checkpoints record exposure factors {low} and {high}; choose one with --e")
     e = args.e or bundle_a.e
 
-    def predict(entry):
-        return ensemble_predict(bundle_a, bundle_b, load_pair(args.data, entry, e))
+    def estimate(chunk, i):
+        # the chunk keeps each feature per setting, so bundles sharing the DEF compute it once
+        return ensemble(bundle_a.predict_row(chunk, i), bundle_b.predict_row(chunk, i))
 
-    return _evaluate(args, manifest, predict, "ensemble", e)
+    return _evaluate(args, manifest, _row_predictor(args, manifest, e, estimate), "ensemble", e)
 
 
 # ============================================================
@@ -267,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--e-list", default="2,4,8")
+    p.add_argument("--e-list", type=_exposure_list, default="2,4,8", help="comma-separated exposure factors, each >= 2")
     p.add_argument("--width", type=int, default=scene_defaults.width)
     p.add_argument("--height", type=int, default=scene_defaults.height)
     p.add_argument("--small", action="store_true", help="48x32 frames")
@@ -278,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="all", choices=["all", "train", "val", "test"])
-    p.add_argument("--e", type=int, default=8)
+    p.add_argument("--e", type=_exposure, default=8)
     p.add_argument("--with-gt", action="store_true")
     _add_def_flags(p)
     p.set_defaults(func=cmd_extract_def)
@@ -287,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, choices=["emlp", "eccc"])
     p.add_argument("--out", required=True)
-    p.add_argument("--e", type=int, default=8)
+    p.add_argument("--e", type=_exposure, default=8)
     p.add_argument("--epochs", type=int, default=0, help=model_default("epochs"))
     p.add_argument("--lr", type=float, default=0.0, help=model_default("lr"))
     p.add_argument("--seed", type=int, default=0)
@@ -307,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--baseline", choices=list(BASELINES))
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
-    p.add_argument("--e", type=int, default=0, help="0 = exposure recorded in the checkpoint")
+    p.add_argument("--e", type=_exposure_or_zero, default=0, help="0 = exposure recorded in the checkpoint")
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_eval)
@@ -316,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--long", required=True)
     p.add_argument("--short", required=True)
-    p.add_argument("--e", type=int, default=0)
+    p.add_argument("--e", type=_exposure_or_zero, default=0, help="0 = exposure recorded in the checkpoint")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("ensemble-eval", help="evaluate averaged predictions of two checkpoints")
@@ -324,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt-b", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
-    p.add_argument("--e", type=int, default=0)
+    p.add_argument("--e", type=_exposure_or_zero, default=0, help="0 = exposure recorded in the checkpoint")
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_ensemble_eval)

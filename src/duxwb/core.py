@@ -8,6 +8,7 @@ bit-reproducible on a given platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -35,12 +36,13 @@ class Illuminant:
     b: float
 
     def __post_init__(self):
-        v = np.array([self.r, self.g, self.b], dtype=np.float64)
-        if not np.all(np.isfinite(v)):
+        # plain float checks: every ground truth and estimate passes here
+        v = (self.r, self.g, self.b)
+        if not all(map(math.isfinite, v)):
             raise DomainError("illuminant components must be finite")
-        if np.any(v < 0.0):
+        if min(v) < 0.0:
             raise DomainError("illuminant components must be nonnegative")
-        if not np.any(v > 0.0):
+        if not max(v) > 0.0:
             raise DomainError("illuminant must have at least one positive component")
 
     @classmethod
@@ -72,7 +74,7 @@ class RawImage:
         # two reductions instead of two full-size boolean temporaries: NaN
         # propagates through both, and an infinity surfaces as an extreme
         lo, hi = self.data.min(), self.data.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("raw image contains non-finite values")
         if lo < 0.0:
             raise DomainError("raw image contains negative values")
@@ -132,14 +134,14 @@ def angular_error(a, b) -> float:
 
 
 def chromaticity_matrix(m: np.ndarray, eps: float) -> np.ndarray:
-    """rgb-chromaticity of a 3 x k matrix; zero pixels stay zero."""
+    """rgb-chromaticity of a 3 x k matrix, or of a (..., 3, k) stack of them;
+    zero pixels stay zero."""
     if eps < 0.0:
         raise DomainError("eps must be nonnegative")
-    denom = m[0] + m[1] + m[2] + eps
+    denom = m[..., 0, :] + m[..., 1, :] + m[..., 2, :] + eps
     if eps == 0.0:
-        safe = np.where(denom > 0.0, denom, 1.0)
-        return m / safe
-    return m / denom
+        denom = np.where(denom > 0.0, denom, 1.0)
+    return m / denom[..., np.newaxis, :]
 
 
 # ============================================================
@@ -147,13 +149,14 @@ def chromaticity_matrix(m: np.ndarray, eps: float) -> np.ndarray:
 # ============================================================
 
 class PinvResult(NamedTuple):
-    matrix: np.ndarray  # 3x3 least-squares map
-    rank: int           # numerical rank of the source
-    degenerate: bool    # rank < 3: minimum-norm solution was used
+    matrix: np.ndarray  # (..., 3, 3) least-squares maps
+    rank: np.ndarray    # (...) numerical rank of each source
+    degenerate: np.ndarray  # (...) rank < 3: the minimum-norm solution was used
 
 
 def pinv_map(source: np.ndarray, target: np.ndarray) -> PinvResult:
-    """Best 3x3 map C minimizing ||C @ source - target||_F via the pseudoinverse.
+    """Best 3x3 map C minimizing ||C @ source - target||_F via the pseudoinverse,
+    for a 3 x k source and target or for (..., 3, k) stacks of them.
 
     Singular values of the source below RANK_TOL * sigma_max are truncated,
     which yields the minimum-norm solution on rank-deficient data instead of
@@ -161,46 +164,56 @@ def pinv_map(source: np.ndarray, target: np.ndarray) -> PinvResult:
 
     The SVD factors come from the eigendecomposition of the 3x3 Gram matrix
     (U = eigenvectors, sigma^2 = eigenvalues), so the cost stays O(k) with a
-    tiny constant even for megapixel inputs.
+    tiny constant even for megapixel inputs. A stack gives each of its maps
+    the bits that map gets on its own.
     """
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if source.ndim != 2 or source.shape[0] != 3 or target.shape != source.shape:
+    if source.ndim < 2 or source.shape[-2] != 3 or target.shape != source.shape:
         raise DomainError("pinv_map expects matching 3 x k matrices")
-    if source.shape[1] < 3:
+    if source.shape[-1] < 3:
         raise DomainError("pinv_map requires k >= 3 pixels")
-    gram = source @ source.T
-    cross = target @ source.T
+    gram = source @ source.mT
+    cross = target @ source.mT
     evals, u = np.linalg.eigh(gram)
-    lam_max = evals[-1] if evals.size else 0.0
-    keep = evals > (RANK_TOL * RANK_TOL) * lam_max if lam_max > 0.0 else np.zeros(3, dtype=bool)
+    # when the largest eigenvalue is not positive, no eigenvalue exceeds its
+    # (RANK_TOL**2)-fraction and the map is zero
+    keep = evals > (RANK_TOL * RANK_TOL) * evals[..., -1:]
     inv_lam = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
     # C = target @ pinv(source) = (target S^T) U diag(1/sigma^2) U^T
-    c = (cross @ u) * inv_lam[np.newaxis, :] @ u.T
-    rank = int(np.count_nonzero(keep))
+    c = (cross @ u) * inv_lam[..., np.newaxis, :] @ u.mT
+    rank = keep.sum(axis=-1)
     return PinvResult(matrix=c, rank=rank, degenerate=rank < 3)
 
 
-def covariance3(x: np.ndarray) -> np.ndarray:
-    """Population covariance E[(X-E[X])(X-E[X])^T] of a 3 x k sample matrix.
+# covariance_triu's entries, in the row-major order of a 3x3 matrix
+_TRIU_TO_FULL = (0, 1, 2, 1, 3, 4, 2, 4, 5)
 
-    The upper triangle is computed once and mirrored, so the output is
-    bitwise symmetric.
+
+def covariance_triu(x: np.ndarray) -> np.ndarray:
+    """Upper triangle (0,0), (0,1), (0,2), (1,1), (1,2), (2,2) of the
+    population covariance E[(X-E[X])(X-E[X])^T] of a 3 x k sample matrix, or
+    of each matrix of a (..., 3, k) stack.
+
+    Each entry is one dot product over the samples, so a stack gives each
+    matrix the bits it gets on its own.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != 3:
+    if x.ndim < 2 or x.shape[-2] != 3:
         raise DomainError("covariance3 expects a 3 x k matrix")
-    k = x.shape[1]
+    k = x.shape[-1]
     if k < 2:
         raise DomainError("covariance3 requires k >= 2 samples")
-    xc = x - x.mean(axis=1, keepdims=True)
-    cov = np.empty((3, 3), dtype=np.float64)
-    for i in range(3):
-        for j in range(i, 3):
-            v = float(np.dot(xc[i], xc[j])) / k
-            cov[i, j] = v
-            cov[j, i] = v
-    return cov
+    xc = x - x.mean(axis=-1, keepdims=True)
+    # row i against rows i.., as broadcast views
+    rows = [np.vecdot(xc[..., i:i + 1, :], xc[..., i:, :]) for i in range(3)]
+    return np.concatenate(rows, axis=-1) / k
+
+
+def covariance3(x: np.ndarray) -> np.ndarray:
+    """The full 3x3 covariance_triu, mirrored, so it is bitwise symmetric."""
+    x = np.asarray(x)
+    return covariance_triu(x)[..., _TRIU_TO_FULL].reshape(x.shape[:-2] + (3, 3))
 
 
 def interp_matrix(n_in: int, n_out: int) -> np.ndarray:

@@ -16,21 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    DualExposurePair,
-    RawImage,
-    chromaticity_matrix,
-    covariance3,
-    pinv_map,
-)
+from .core import DualExposurePair, chromaticity_matrix, covariance_triu, pinv_map
 from .errors import DomainError
 
 COLOR_REPRS = ("rgb", "rg_chroma", "rgb_chroma")
 MAPPINGS = ("linear3x3", "affine3x4", "homography3x3")
-
-# Upper-triangle order of the symmetric covariance: (0,0),(0,1),(0,2),(1,1),(1,2),(2,2)
-_TRIU_ROWS = (0, 0, 0, 1, 1, 2)
-_TRIU_COLS = (0, 1, 2, 1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -96,36 +86,34 @@ class HomographyResult(NamedTuple):
 # Building blocks
 # ============================================================
 
-def ratio_image(pair: DualExposurePair, eps: float) -> np.ndarray:
-    """Elementwise short / (long + eps), as a 3 x k matrix."""
+def ratio_image(long: np.ndarray, short: np.ndarray, eps: float) -> np.ndarray:
+    """Elementwise short / (long + eps) of two frames of the same shape, as
+    3 x k matrices or (N, 3, k) stacks."""
     if eps < 0.0:
         raise DomainError("eps must be nonnegative")
-    long_m = pair.long.as_matrix()
-    short_m = pair.short.as_matrix()
-    denom = long_m + eps
+    denom = long + eps
     if eps == 0.0:
         # 0/0 pixels are defined as 0 so the ratio stays finite
         safe = np.where(denom > 0.0, denom, 1.0)
-        out = np.where(denom > 0.0, short_m / safe, 0.0)
-    else:
-        out = short_m / denom
-    return out
+        return np.where(denom > 0.0, short / safe, 0.0)
+    return short / denom
 
 
-def _represent(img: RawImage, cfg: DefConfig) -> np.ndarray:
+def _represent(frames: np.ndarray, cfg: DefConfig) -> np.ndarray:
+    """The frames of an (N, 3, k) stack in the configured color representation."""
     if cfg.color_repr == "rgb":
-        return img.as_matrix()
-    ch = chromaticity_matrix(img.as_matrix(), cfg.eps_chroma)
+        return frames
+    ch = chromaticity_matrix(frames, cfg.eps_chroma)
     if cfg.color_repr == "rgb_chroma":
         return ch
     # rg_chroma: keep a 3-row layout (r, g, 1-r-g) so one fitting path serves
     # every representation; the third row is redundant when eps_chroma = 0.
-    return np.vstack([ch[0], ch[1], 1.0 - ch[0] - ch[1]])
+    return np.stack([ch[:, 0], ch[:, 1], 1.0 - ch[:, 0] - ch[:, 1]], axis=1)
 
 
-def _rg1_rows(img: RawImage, cfg: DefConfig) -> np.ndarray:
-    ch = chromaticity_matrix(img.as_matrix(), cfg.eps_chroma)
-    return np.vstack([ch[0], ch[1], np.ones_like(ch[0])])
+def _rg1_rows(frames: np.ndarray, cfg: DefConfig) -> np.ndarray:
+    ch = chromaticity_matrix(frames, cfg.eps_chroma)
+    return np.stack([ch[:, 0], ch[:, 1], np.ones_like(ch[:, 0])], axis=1)
 
 
 def affine_map(source_chroma: np.ndarray, target_chroma: np.ndarray) -> AffineResult:
@@ -196,23 +184,41 @@ def homography_map(source_rg1: np.ndarray, target_rg1: np.ndarray) -> Homography
 # Feature assembly
 # ============================================================
 
-def compute_def(pair: DualExposurePair, cfg: DefConfig | None = None) -> DefVector:
-    """Extract the dual-exposure feature from an aligned pair."""
+def def_rows(longs: np.ndarray, shorts: np.ndarray, cfg: DefConfig | None = None) -> tuple:
+    """The dual-exposure features of a chunk of aligned pairs: longs and
+    shorts are (N, 3, k) frame stacks. Returns the (N, d) features and the
+    (N,) degeneracy flags of the mapping fits.
+
+    Every row has the bits compute_def gives its pair alone. The linear map
+    and the covariance run once for the whole stack; the affine and
+    homography fits go one pair at a time.
+    """
     cfg = cfg or DefConfig()
-    k = pair.long.pixel_count
-    if k < 16:
+    if longs.shape[-1] < 16:
         raise DomainError("compute_def requires at least 16 pixels")
 
     # the map carries the short frame onto the long one
-    if cfg.mapping == "homography3x3":  # always works on (r, g, 1) chroma rows
-        fit = homography_map(_rg1_rows(pair.short, cfg), _rg1_rows(pair.long, cfg))
+    if cfg.mapping == "linear3x3":
+        fit = pinv_map(_represent(shorts, cfg), _represent(longs, cfg))
+        entries, degenerate = fit.matrix.reshape(len(longs), -1), fit.degenerate
     else:
-        src, tgt = _represent(pair.short, cfg), _represent(pair.long, cfg)
-        fit = pinv_map(src, tgt) if cfg.mapping == "linear3x3" else affine_map(src, tgt)
-    entries = fit.matrix.reshape(-1)
+        if cfg.mapping == "homography3x3":  # always works on (r, g, 1) chroma rows
+            src, tgt, fit_one = _rg1_rows(shorts, cfg), _rg1_rows(longs, cfg), homography_map
+        else:
+            src, tgt, fit_one = _represent(shorts, cfg), _represent(longs, cfg), affine_map
+        fits = [fit_one(s, t) for s, t in zip(src, tgt)]
+        entries = np.stack([f.matrix.reshape(-1) for f in fits])
+        degenerate = np.array([f.degenerate for f in fits])
 
     if cfg.include_covariance:
-        cov = covariance3(ratio_image(pair, cfg.eps_ratio))
-        entries = np.concatenate([entries, cov[_TRIU_ROWS, _TRIU_COLS]])
+        entries = np.concatenate([entries, covariance_triu(ratio_image(longs, shorts, cfg.eps_ratio))], axis=1)
+    if not np.isfinite(entries).all():
+        raise DomainError("feature vector contains non-finite values")
+    return entries, degenerate
 
-    return DefVector(values=entries, degenerate=fit.degenerate)
+
+def compute_def(pair: DualExposurePair, cfg: DefConfig | None = None) -> DefVector:
+    """Extract the dual-exposure feature from an aligned pair: def_rows on a
+    batch of one, whose frames go in as views."""
+    values, degenerate = def_rows(pair.long.as_matrix()[np.newaxis], pair.short.as_matrix()[np.newaxis], cfg)
+    return DefVector(values=values[0], degenerate=bool(degenerate[0]))

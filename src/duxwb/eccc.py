@@ -43,7 +43,7 @@ from .convops import (
     sobel_smoothness,
 )
 from .errors import DegenerateOutputError, DomainError
-from .histogram import DEFAULT_BINS, bin_centers, build_histogram
+from .histogram import DEFAULT_BINS, bin_centers, build_histogram, chroma_masses, unit_mass
 from .mlp import (MlpParams, angular_loss_unit, init_mlp, mlp_backward, mlp_forward_trace,
                   row_norms, tensor_shapes as mlp_tensor_shapes, unit_rows)
 
@@ -190,20 +190,35 @@ def init_eccc(
 # Histogram assembly per variant
 # ============================================================
 
-def hists_for_pair(pair: DualExposurePair, variant: str = "both", bins: int = DEFAULT_BINS) -> np.ndarray:
-    """Unit-mass histogram stack (J, h, h) for the requested input variant."""
-    if variant == "both":
-        hs = [build_histogram(pair.long, bins), build_histogram(pair.short, bins)]
-    elif variant == "avg":
-        avg = RawImage((pair.long.data + pair.short.data) / 2.0)
-        hs = [build_histogram(avg, bins)]
-    elif variant == "short":
-        hs = [build_histogram(pair.short, bins)]
-    elif variant == "long":
-        hs = [build_histogram(pair.long, bins)]
-    else:
+def _variant_frames(variant: str) -> tuple:
+    """Names of the frames whose histograms form a variant's stack, in order;
+    avg is the elementwise mean of the long and short frames."""
+    if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
-    return np.stack([h.normalized() for h in hs])
+    return ("long", "short") if variant == "both" else (variant,)
+
+
+def hists_for_chunk(longs: np.ndarray, shorts: np.ndarray, variant: str, bins: int, names) -> np.ndarray:
+    """Unit-mass histogram stacks (N, J, h, h) of a chunk of pairs, whose
+    frames are (N, 3, k) stacks: one chroma_masses call per frame kind.
+
+    Each pair's stack has the bits hists_for_pair gives it alone. names
+    label the pairs in the EmptyHistogramError an empty histogram raises.
+    """
+    frames = {"long": longs, "short": shorts}
+    if variant == "avg":
+        frames["avg"] = (longs + shorts) / 2.0
+    masses = np.stack([chroma_masses(frames[f], bins)[0] for f in _variant_frames(variant)], axis=1)
+    return unit_mass(masses, names)
+
+
+def hists_for_pair(pair: DualExposurePair, variant: str = "both", bins: int = DEFAULT_BINS) -> np.ndarray:
+    """Unit-mass histogram stack (J, h, h) of one pair for the requested
+    input variant: build_histogram per frame, normalised by unit_mass."""
+    frames = {"long": pair.long, "short": pair.short}
+    if variant == "avg":
+        frames["avg"] = RawImage((pair.long.data + pair.short.data) / 2.0)
+    return unit_mass(np.stack([build_histogram(frames[f], bins).mass for f in _variant_frames(variant)]))
 
 
 # ============================================================

@@ -59,39 +59,76 @@ class ChromaHistogram:
 
     def normalized(self) -> np.ndarray:
         """Unit-total-mass grid, the form the estimator convolves over."""
-        total = self.total_mass
-        if total <= 0.0:
-            raise EmptyHistogramError("histogram holds no mass")
-        return self.mass / total
+        return unit_mass(self.mass[np.newaxis].copy())[0]
 
 
-def build_histogram(img: RawImage, bins: int = DEFAULT_BINS) -> ChromaHistogram:
-    """Accumulate ||pixel||_2 into hard-assigned (u, v) bins.
+def chroma_masses(frames: np.ndarray, bins: int = DEFAULT_BINS) -> tuple:
+    """Accumulate ||pixel||_2 into hard-assigned (u, v) bins, for every frame
+    of an (N, 3, k) stack at once. Returns the (N, bins, bins) mass grids and
+    the (N, k) mask of valid pixels.
 
-    Invalid pixels (any nonpositive channel) keep zero weight and land in bin
-    zero, so no gather passes are needed; their count is reported.
+    Invalid pixels (any nonpositive channel) keep zero weight. Their chroma is
+    not finite or meaningless, and the clip puts them in some bin, where
+    their zero weight changes no bit; so no masking or gather pass is needed.
+    One bincount over frame * bins**2 + bin fills every grid. It adds a
+    grid's pixels in the order the frame alone would, so each grid has the
+    same bits in any stack.
     """
-    m = img.as_matrix()
-    r, g, b = m[0], m[1], m[2]
+    r, g, b = frames[:, 0], frames[:, 1], frames[:, 2]
     valid = (r > 0.0) & (g > 0.0) & (b > 0.0)
-    n_valid = int(np.count_nonzero(valid))
-    skipped = int(m.shape[1] - n_valid)
-    if n_valid == 0:
-        return ChromaHistogram(np.zeros((bins, bins)), skipped=skipped)
-    safe_r = np.where(valid, r, 1.0)
-    safe_g = np.where(valid, g, 1.0)
-    safe_b = np.where(valid, b, 1.0)
+    n = len(valid)
     inv_eps = 1.0 / bin_width(bins)
-    iu = ((np.log(safe_g / safe_r) - CHROMA_MIN) * inv_eps).astype(np.intp)
-    iv = ((np.log(safe_g / safe_b) - CHROMA_MIN) * inv_eps).astype(np.intp)
-    np.clip(iu, 0, bins - 1, out=iu)
-    np.clip(iv, 0, bins - 1, out=iv)
-    w = np.sqrt(r * r + g * g + b * b)
+    # in place where it can be, so a chunk's temporaries stay few and in cache
+    idx = []
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0, x/0, log 0 and their casts
+        for den in (r, b):
+            x = np.divide(g, den)
+            np.log(x, out=x)
+            x -= CHROMA_MIN
+            x *= inv_eps
+            i = x.astype(np.intp)
+            np.clip(i, 0, bins - 1, out=i)
+            idx.append(i)
+    iu, iv = idx
+    w = r * r
+    w += g * g
+    w += b * b
+    np.sqrt(w, out=w)
     w *= valid
     iu *= bins
     iu += iv
-    flat = np.bincount(iu, weights=w, minlength=bins * bins)
-    return ChromaHistogram(flat.reshape(bins, bins), skipped=skipped)
+    if n > 1:
+        iu += (bins * bins) * np.arange(n)[:, np.newaxis]
+    flat = np.bincount(iu.reshape(-1), weights=w.reshape(-1), minlength=n * bins * bins)
+    return flat.reshape(n, bins, bins), valid
+
+
+def build_histogram(img: RawImage, bins: int = DEFAULT_BINS) -> ChromaHistogram:
+    """The log-chroma histogram of one image: chroma_masses on a batch of one,
+    whose frame goes in as a view."""
+    mass, valid = chroma_masses(img.as_matrix()[np.newaxis], bins)
+    return ChromaHistogram(mass[0], skipped=valid.size - int(np.count_nonzero(valid)))
+
+
+def unit_mass(masses: np.ndarray, names=None) -> np.ndarray:
+    """Each (h, h) grid of a contiguous (..., h, h) stack divided, in place,
+    by its total mass; returns the stack.
+
+    A grid without mass (no pixel with three positive channels) raises
+    EmptyHistogramError. names, when given, label the entries of axis 0, and
+    the message lists those that hold an empty grid.
+    """
+    h = masses.shape[-1]
+    flat = masses.reshape(-1, h * h)
+    totals = flat.sum(axis=1)
+    if not (totals > 0.0).all():
+        message = "histogram holds no mass"
+        if names is not None:
+            empty = ~(totals > 0.0).reshape(len(masses), -1).all(axis=1)
+            message += " for scenes: " + ", ".join(names[i] for i in np.flatnonzero(empty))
+        raise EmptyHistogramError(message)
+    flat /= totals[:, np.newaxis]
+    return masses
 
 
 def illuminant_to_uv(ill) -> tuple:

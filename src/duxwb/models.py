@@ -40,13 +40,24 @@ class ModelBundle:
         if feature is None and self.uses_def:
             feature = compute_def(pair, self.def_cfg)
         defs = None if feature is None else feature.values[np.newaxis]
+        hists = hists_for_pair(pair, self.eccc.variant, self.eccc.bins)[np.newaxis] if self.kind == "eccc" else None
+        return self._estimate(defs, hists)
+
+    def predict_row(self, chunk, i: int) -> Illuminant:
+        """predict_pair for pair i of a pipeline.PairChunk, whose features are
+        computed once for the whole chunk. The estimator still runs on a batch
+        of one, so the estimate has predict_pair's bits."""
+        defs = chunk.defs(self.def_cfg)[i:i + 1] if self.uses_def else None
+        hists = chunk.hists(self.eccc.variant, self.eccc.bins)[i:i + 1] if self.kind == "eccc" else None
+        return self._estimate(defs, hists)
+
+    def _estimate(self, defs: Optional[np.ndarray], hists: Optional[np.ndarray]) -> Illuminant:
         if self.kind == "emlp":
             unit = emlp_forward(self.emlp, defs)
         else:
             if self._prepared is None:
                 self._prepared = prepare_predictor(self.eccc)
-            hists = hists_for_pair(pair, self.eccc.variant, self.eccc.bins)
-            unit = eccc_forward(self.eccc, hists[np.newaxis], defs, prepared=self._prepared)
+            unit = eccc_forward(self.eccc, hists, defs, prepared=self._prepared)
         return Illuminant.from_array(unit[0])
 
 

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from duxwb.core import DualExposurePair, Illuminant, RawImage
-from duxwb.def_feature import _TRIU_COLS, _TRIU_ROWS
+
+
+# Upper-triangle order of the DEF's covariance block (core.covariance_triu)
+_TRIU_ROWS = (0, 0, 0, 1, 1, 2)
+_TRIU_COLS = (0, 1, 2, 1, 2, 2)
 
 
 @pytest.fixture

@@ -64,3 +64,30 @@ def test_benchmark_direct_calls_keep_their_signatures(tmp_path):
                           def_dim=train_defs.shape[1], seed=cfg.seed, biases=bank)
     direction = eccc._forward_batch(init, hists=val_hists, defs=val_defs)["direction"]
     assert direction.shape == (3, 3)
+
+
+def test_predict_pair_reaches_the_per_pair_extractors(monkeypatch):
+    """The traced benchmark times DEF and histogram extraction through
+    models.compute_def, models.hists_for_pair and eccc.build_histogram; one
+    ECCC predict_pair with the feature path calls each of them."""
+    from duxwb.core import DualExposurePair, RawImage
+
+    calls = {}
+
+    def counted(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in ((models, "compute_def"), (models, "hists_for_pair"), (eccc, "build_histogram")):
+        counted(owner, attr)
+    rng = np.random.default_rng(3)
+    pair = DualExposurePair(long=RawImage(rng.uniform(0.1, 1.0, (3, 8, 12))),
+                            short=RawImage(rng.uniform(0.01, 0.1, (3, 8, 12))), exposure_factor=8.0)
+    bundle = models.ModelBundle("eccc", DefConfig(), 8, eccc=eccc.init_eccc(bins=32, n=3, seed=1))
+    bundle.predict_pair(pair)
+    assert calls == {"compute_def": 1, "hists_for_pair": 1, "build_histogram": 2}

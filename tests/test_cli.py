@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import shutil
@@ -160,6 +161,86 @@ def test_ensemble_eval_checks_the_split_before_it_reports(dataset, tmp_path, cap
     err = capsys.readouterr().err
     assert "missing ['long_8', 'short_8'] frames" in err and entry["scene_id"] in err
     assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
+
+
+def _report_bytes(report, results, label, split, e) -> tuple:
+    """The report and CSV bytes cli writes for these results."""
+    from duxwb.evaluation import results_csv_rows
+
+    table = io.StringIO(newline="")
+    csv.writer(table).writerows(results_csv_rows(results))
+    text = json.dumps(report.to_dict(model=label, split=split, e=e), indent=1, sort_keys=True) + "\n"
+    return text.encode(), table.getvalue().encode()
+
+
+@pytest.mark.parametrize("per_chunk", [3, 100])
+def test_eval_outputs_match_per_pair_predictions_bytewise(dataset, tmp_path, monkeypatch, per_chunk):
+    """eval and ensemble-eval featurise the split in chunks (here 3 pairs, or
+    all 16 train pairs in one); their reports and CSVs are those of
+    predict_pair and ensemble_predict run pair by pair."""
+    from duxwb import pipeline
+    from duxwb.def_feature import DefConfig
+    from duxwb.evaluation import evaluate_scenes
+    from duxwb.mlp import emlp_init
+    from duxwb.models import ModelBundle, ensemble_predict, load_model, save_model
+    from duxwb.synth import DatasetManifest, load_pair
+
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", per_chunk * 32 * 24)
+    emlp, eccc = _saved_bundles(tmp_path, 8, 8)
+    rgb = str(tmp_path / "rgb.ckpt")  # an EMLP on another DEF than the ECCC's
+    save_model(rgb, ModelBundle(kind="emlp", def_cfg=DefConfig(color_repr="rgb"), e=8, emlp=emlp_init(15, seed=2)))
+    manifest = DatasetManifest.load(dataset)
+    cases = [("emlp", ["eval", "--ckpt", emlp], lambda a, p: a.predict_pair(p), [emlp]),
+             ("eccc", ["eval", "--ckpt", eccc], lambda a, p: a.predict_pair(p), [eccc]),
+             ("ensemble", ["ensemble-eval", "--ckpt-a", emlp, "--ckpt-b", eccc], ensemble_predict, [emlp, eccc]),
+             ("ensemble", ["ensemble-eval", "--ckpt-a", rgb, "--ckpt-b", eccc], ensemble_predict, [rgb, eccc])]
+    for label, argv, predict, ckpts in cases:
+        out = str(tmp_path / "out")
+        assert run_cli(argv + ["--data", dataset, "--split", "train",
+                               "--out-report", out + ".json", "--out-csv", out + ".csv"]) == 0
+        bundles = [load_model(c) for c in ckpts]
+        report, results = evaluate_scenes(lambda entry: predict(*bundles, load_pair(dataset, entry, 8)),
+                                          manifest, dataset, "train")
+        with open(out + ".json", "rb") as fj, open(out + ".csv", "rb") as fc:
+            assert (fj.read(), fc.read()) == _report_bytes(report, results, label, "train", 8), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--scenes", "2", "--e-list", "8,-2"],
+    ["gen-data", "--scenes", "2", "--e-list", "1"],
+    ["gen-data", "--scenes", "2", "--e-list", "8,x"],
+    ["gen-data", "--scenes", "2", "--e-list", "0"],
+    ["eval", "--ckpt", "m.ckpt", "--e", "-3"],
+    ["eval", "--ckpt", "m.ckpt", "--e", "1"],
+    ["eval", "--ckpt", "m.ckpt", "--e", "x"],
+    ["ensemble-eval", "--ckpt-a", "a.ckpt", "--ckpt-b", "b.ckpt", "--e", "1"],
+    ["extract-def", "--e", "0"],
+    ["train", "--model", "emlp", "--e", "0"],
+    ["infer", "--ckpt", "m.ckpt", "--long", "l.dxt", "--short", "s.dxt", "--e", "1"],
+    ["infer", "--ckpt", "m.ckpt", "--long", "l.dxt", "--short", "s.dxt", "--e", "-8"],
+], ids=lambda argv: "_".join(argv[:1] + argv[-2:]))
+def test_bad_exposure_factor_is_a_usage_error(tmp_path, capsys, argv):
+    """Exit 2 with the usage line before any file is read or written: the
+    data directory, checkpoints and frames do not exist, and --out is not made."""
+    out = tmp_path / "out"
+    paths = {"gen-data": ["--out", str(out)], "eval": ["--data", str(tmp_path / "none"), "--out-report", str(out)],
+             "ensemble-eval": ["--data", str(tmp_path / "none"), "--out-report", str(out)],
+             "extract-def": ["--data", str(tmp_path / "none"), "--out", str(out)],
+             "train": ["--data", str(tmp_path / "none"), "--out", str(out)], "infer": []}[argv[0]]
+    with pytest.raises(SystemExit) as info:
+        run_cli(argv + paths)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: duxwb " + argv[0]) and "exposure factor must be an integer of at least 2" in err
+    assert not out.exists()
+
+
+def test_exposure_zero_means_the_checkpoints(dataset, tmp_path):
+    emlp, _ = _saved_bundles(tmp_path, 8, 8)
+    assert run_cli(["eval", "--ckpt", emlp, "--data", dataset, "--e", "0",
+                    "--out-report", str(tmp_path / "r.json")]) == 0
+    with open(tmp_path / "r.json") as fh:
+        assert json.load(fh)["e"] == 8
 
 
 def test_train_eccc_no_def_variant(dataset, tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from duxwb.def_feature import DefConfig
-from duxwb.errors import DataError
-from duxwb.pipeline import build_feature_set
-from duxwb.synth import DatasetManifest, SceneSpec, generate_dataset
+from duxwb import pipeline
+from duxwb.core import DualExposurePair, RawImage
+from duxwb.def_feature import COLOR_REPRS, MAPPINGS, DefConfig, compute_def, def_rows
+from duxwb.eccc import VARIANTS, hists_for_pair
+from duxwb.errors import DataError, EmptyHistogramError
+from duxwb.pipeline import PairChunk, build_feature_set, split_chunks
+from duxwb.synth import DatasetManifest, SceneSpec, generate_dataset, load_pair, render_pair, write_tensor
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +58,142 @@ def test_build_features_deterministic(dataset):
     assert np.array_equal(a.defs, b.defs)
     assert np.array_equal(a.gts, b.gts)
     assert a.scene_ids == b.scene_ids
+
+
+# ============================================================
+# Chunked features: the bits of the per-pair extractors
+# ============================================================
+
+def _chunk_pairs():
+    """Five 32x24 pairs: rendered ones, whose short frames hold invalid
+    pixels, one with an all-valid long frame, and a gray, rank-deficient one."""
+    spec = SceneSpec(width=32, height=24)
+    pairs = [render_pair(spec, 8, seed=s) for s in range(4)]
+    pairs[1] = DualExposurePair(long=RawImage(np.maximum(pairs[1].long.data, 1e-3)), short=pairs[1].short,
+                                exposure_factor=8.0, ground_truth=pairs[1].ground_truth)
+    gray = np.repeat(pairs[2].long.data[1:2], 3, axis=0)
+    pairs.insert(2, DualExposurePair(long=RawImage(gray), short=RawImage(gray / 8.0), exposure_factor=8.0,
+                                     ground_truth=pairs[2].ground_truth))
+    return pairs
+
+
+def test_chunk_pairs_cover_the_edge_cases():
+    pairs = _chunk_pairs()
+    short_invalid = [int((p.short.as_matrix() <= 0.0).any(axis=0).sum()) for p in pairs]
+    assert min(short_invalid[:2] + short_invalid[3:]) > 0
+    assert np.all(pairs[1].long.data > 0.0)
+    assert compute_def(pairs[2]).degenerate and not compute_def(pairs[0]).degenerate
+
+
+@pytest.mark.parametrize("include_covariance", [True, False])
+@pytest.mark.parametrize("mapping", MAPPINGS)
+@pytest.mark.parametrize("color_repr", COLOR_REPRS)
+def test_chunk_defs_match_compute_def_bitwise(color_repr, mapping, include_covariance):
+    cfg = DefConfig(color_repr=color_repr, mapping=mapping, include_covariance=include_covariance)
+    pairs = _chunk_pairs()
+    chunk = PairChunk([f"s{i}" for i in range(len(pairs))], pairs)
+    longs = np.stack([p.long.as_matrix() for p in pairs])
+    shorts = np.stack([p.short.as_matrix() for p in pairs])
+    values, degenerate = def_rows(longs, shorts, cfg)
+    one = [compute_def(p, cfg) for p in pairs]
+    assert chunk.defs(cfg).tobytes() == np.stack([v.values for v in one]).tobytes()
+    assert values.tobytes() == chunk.defs(cfg).tobytes()
+    assert degenerate.tolist() == [v.degenerate for v in one]
+
+
+@pytest.mark.parametrize("bins", [32, 64])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chunk_hists_match_hists_for_pair_bitwise(variant, bins):
+    pairs = _chunk_pairs()
+    chunk = PairChunk([f"s{i}" for i in range(len(pairs))], pairs)
+    expected = np.stack([hists_for_pair(p, variant, bins) for p in pairs])
+    assert chunk.hists(variant, bins).tobytes() == expected.tobytes()
+
+
+def _per_pair_features(root, manifest, split, e, variant="both"):
+    pairs = [load_pair(root, entry, e) for entry in manifest.scenes_for(split)]
+    return (np.stack([compute_def(p).values for p in pairs]),
+            np.stack([hists_for_pair(p, variant) for p in pairs]),
+            np.stack([p.ground_truth.as_array() for p in pairs]))
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 100])
+def test_build_features_match_per_pair_extractors_bitwise(dataset, monkeypatch, per_chunk):
+    """Ten train pairs in chunks of one, of three (3+3+3+1) and in one chunk."""
+    root, manifest = dataset
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", per_chunk * 32 * 24)
+    fs = build_feature_set(root, manifest, "train", 8, with_hists=True)
+    defs, hists, gts = _per_pair_features(root, manifest, "train", 8)
+    assert fs.defs.tobytes() == defs.tobytes()
+    assert fs.hists.tobytes() == hists.tobytes()
+    assert fs.gts.tobytes() == gts.tobytes()
+
+
+def test_augmented_features_do_not_depend_on_the_chunk_size(dataset, monkeypatch):
+    root, manifest = dataset
+    runs = []
+    for per_chunk in (1, 4, 100):
+        monkeypatch.setattr(pipeline, "PIXEL_BUDGET", per_chunk * 32 * 24)
+        runs.append(build_feature_set(root, manifest, "train", 8, with_hists=True, augment=True,
+                                      augment_clusters=3, seed=4))
+    for fs in runs[1:]:
+        assert fs.scene_ids == runs[0].scene_ids and fs.identity_copies == runs[0].identity_copies
+        for key in ("defs", "hists", "gts"):
+            assert getattr(fs, key).tobytes() == getattr(runs[0], key).tobytes()
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset(tmp_path_factory):
+    """One manifest whose train scenes alternate runs of 32x24 and 16x16 frames."""
+    root = tmp_path_factory.mktemp("mixed")
+    parts = {}
+    for name, (w, h) in {"a": (32, 24), "b": (16, 16)}.items():
+        m = generate_dataset(str(root / name), 5, e_list=(8,), seed=len(name) + w, spec=SceneSpec(width=w, height=h),
+                             splits=(5, 0, 0))
+        for entry in m.scenes:
+            entry.scene_id = f"{name}-{entry.scene_id}"
+            entry.files = {k: f"{name}/{v}" for k, v in entry.files.items()}
+        parts[name] = m
+    a, b = parts["a"].scenes, parts["b"].scenes
+    manifest = DatasetManifest(seed=0, width=32, height=24, e_list=[8], scenes=a[:2] + b[:3] + a[2:] + b[3:])
+    manifest.save(str(root))
+    return str(root), manifest
+
+
+def test_a_new_chunk_starts_when_the_frame_size_changes(mixed_dataset, monkeypatch):
+    root, manifest = mixed_dataset
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 1 << 16)
+    sizes = [[p.long.data.shape for p in chunk.pairs] for chunk in split_chunks(root, manifest, "train", 8)]
+    assert [len(s) for s in sizes] == [2, 3, 3, 2]
+    assert all(len(set(s)) == 1 for s in sizes)
+    fs = build_feature_set(root, manifest, "train", 8, with_hists=True, variant="avg")
+    defs, hists, gts = _per_pair_features(root, manifest, "train", 8, "avg")
+    assert fs.scene_ids == [entry.scene_id for entry in manifest.scenes]
+    assert fs.defs.tobytes() == defs.tobytes()
+    assert fs.hists.tobytes() == hists.tobytes()
+    assert fs.gts.tobytes() == gts.tobytes()
+
+
+@pytest.mark.parametrize("per_chunk", [1, 100])
+def test_black_short_frame_raises_empty_histogram_naming_its_scene(tmp_path, monkeypatch, per_chunk):
+    """The third of five pairs, in the middle of a chunk or a chunk of its own.
+    Without histograms (the EMLP's features) the split still completes."""
+    root = str(tmp_path / "d")
+    manifest = generate_dataset(root, 5, e_list=(8,), seed=1, spec=SceneSpec(width=32, height=24),
+                                splits=(5, 0, 0))
+    black = manifest.scenes[2]
+    write_tensor(f"{root}/{black.files['short_8']}", np.zeros((3, 24, 32)))
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", per_chunk * 32 * 24)
+    with pytest.raises(EmptyHistogramError) as info:
+        build_feature_set(root, manifest, "train", 8, with_hists=True)
+    assert str(info.value) == f"histogram holds no mass for scenes: {black.scene_id}"
+    assert len(build_feature_set(root, manifest, "train", 8)) == 5
+
+
+def test_empty_histograms_name_every_scene_that_holds_one():
+    pairs = _chunk_pairs()
+    zero = RawImage(np.zeros((3, 24, 32)))
+    for i in (0, 3):
+        pairs[i] = DualExposurePair(long=zero if i else pairs[i].long, short=zero, exposure_factor=8.0)
+    with pytest.raises(EmptyHistogramError, match="^histogram holds no mass for scenes: s0, s3$"):
+        PairChunk([f"s{i}" for i in range(len(pairs))], pairs).hists("both", 64)
