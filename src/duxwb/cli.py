@@ -70,6 +70,27 @@ def _exposure_list(text: str) -> list:
     return [_exposure(v) for v in text.split(",")]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _split_counts(text: str) -> tuple:
+    """train,val,test: three nonnegative integers."""
+    try:
+        counts = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        counts = ()
+    if len(counts) != 3 or min(counts) < 0:
+        raise argparse.ArgumentTypeError(f"splits must be three nonnegative integers train,val,test, got {text!r}")
+    return counts
+
+
 # ============================================================
 # Subcommands
 # ============================================================
@@ -80,16 +101,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     spec = SceneSpec(width=args.width, height=args.height)
     if args.small:
         spec = spec.small()
-    splits = None
-    if args.splits:
-        splits = tuple(int(v) for v in args.splits.split(","))
     manifest = generate_dataset(
         args.out,
         n_scenes=args.scenes,
         e_list=args.e_list,
         seed=args.seed,
         spec=spec,
-        splits=splits,
+        splits=args.splits,
     )
     print(json.dumps({"scenes": len(manifest.scenes), "out": args.out}))
     return 0
@@ -300,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--e-list", type=_exposure_list, default="2,4,8", help="comma-separated exposure factors, each >= 2")
-    p.add_argument("--width", type=int, default=scene_defaults.width)
-    p.add_argument("--height", type=int, default=scene_defaults.height)
+    p.add_argument("--width", type=_positive_int, default=scene_defaults.width)
+    p.add_argument("--height", type=_positive_int, default=scene_defaults.height)
     p.add_argument("--small", action="store_true", help="48x32 frames")
-    p.add_argument("--splits", default=None, help="train,val,test counts (default: 387:83:86 ratio)")
+    p.add_argument("--splits", type=_split_counts, default=None,
+                   help="train,val,test counts summing to --scenes (default: 387:83:86 ratio)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("extract-def", help="write feature vectors as CSV")

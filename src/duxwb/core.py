@@ -186,10 +186,6 @@ def pinv_map(source: np.ndarray, target: np.ndarray) -> PinvResult:
     return PinvResult(matrix=c, rank=rank, degenerate=rank < 3)
 
 
-# covariance_triu's entries, in the row-major order of a 3x3 matrix
-_TRIU_TO_FULL = (0, 1, 2, 1, 3, 4, 2, 4, 5)
-
-
 def covariance_triu(x: np.ndarray) -> np.ndarray:
     """Upper triangle (0,0), (0,1), (0,2), (1,1), (1,2), (2,2) of the
     population covariance E[(X-E[X])(X-E[X])^T] of a 3 x k sample matrix, or
@@ -200,20 +196,14 @@ def covariance_triu(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] != 3:
-        raise DomainError("covariance3 expects a 3 x k matrix")
+        raise DomainError("covariance_triu expects a 3 x k matrix")
     k = x.shape[-1]
     if k < 2:
-        raise DomainError("covariance3 requires k >= 2 samples")
+        raise DomainError("covariance_triu requires k >= 2 samples")
     xc = x - x.mean(axis=-1, keepdims=True)
     # row i against rows i.., as broadcast views
     rows = [np.vecdot(xc[..., i:i + 1, :], xc[..., i:, :]) for i in range(3)]
     return np.concatenate(rows, axis=-1) / k
-
-
-def covariance3(x: np.ndarray) -> np.ndarray:
-    """The full 3x3 covariance_triu, mirrored, so it is bitwise symmetric."""
-    x = np.asarray(x)
-    return covariance_triu(x)[..., _TRIU_TO_FULL].reshape(x.shape[:-2] + (3, 3))
 
 
 def interp_matrix(n_in: int, n_out: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DualExposurePair, RawImage, interp_matrix
+from .core import DualExposurePair, interp_matrix
 from .convops import (
     corr_same_multi_fft,
     fft_flipped,
@@ -43,7 +43,7 @@ from .convops import (
     sobel_smoothness,
 )
 from .errors import DegenerateOutputError, DomainError
-from .histogram import DEFAULT_BINS, bin_centers, build_histogram, chroma_masses, unit_mass
+from .histogram import DEFAULT_BINS, bin_centers, build_histogram, unit_mass
 from .mlp import (MlpParams, angular_loss_unit, init_mlp, mlp_backward, mlp_forward_trace,
                   row_norms, tensor_shapes as mlp_tensor_shapes, unit_rows)
 
@@ -190,35 +190,32 @@ def init_eccc(
 # Histogram assembly per variant
 # ============================================================
 
-def _variant_frames(variant: str) -> tuple:
-    """Names of the frames whose histograms form a variant's stack, in order;
-    avg is the elementwise mean of the long and short frames."""
+def hists_for_chunk(longs: np.ndarray, shorts: np.ndarray, variant: str, bins: int, names=None) -> np.ndarray:
+    """Unit-mass histogram stacks (N, J, h, h) of a chunk of pairs, whose
+    frames are (N, 3, k) stacks, for the requested input variant: both
+    holds the long and then the short frame's histogram, avg that of the
+    elementwise mean of the two frames. One build_histogram call per frame
+    kind.
+
+    Each pair's stack has the bits it gets in a chunk of one. names, when
+    given, label the pairs in the EmptyHistogramError an empty histogram
+    raises.
+    """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
-    return ("long", "short") if variant == "both" else (variant,)
-
-
-def hists_for_chunk(longs: np.ndarray, shorts: np.ndarray, variant: str, bins: int, names) -> np.ndarray:
-    """Unit-mass histogram stacks (N, J, h, h) of a chunk of pairs, whose
-    frames are (N, 3, k) stacks: one chroma_masses call per frame kind.
-
-    Each pair's stack has the bits hists_for_pair gives it alone. names
-    label the pairs in the EmptyHistogramError an empty histogram raises.
-    """
-    frames = {"long": longs, "short": shorts}
     if variant == "avg":
-        frames["avg"] = (longs + shorts) / 2.0
-    masses = np.stack([chroma_masses(frames[f], bins)[0] for f in _variant_frames(variant)], axis=1)
-    return unit_mass(masses, names)
+        kinds = ((longs + shorts) / 2.0,)
+    else:
+        kinds = {"both": (longs, shorts), "long": (longs,), "short": (shorts,)}[variant]
+    return unit_mass(np.stack([build_histogram(frames, bins) for frames in kinds], axis=1), names)
 
 
-def hists_for_pair(pair: DualExposurePair, variant: str = "both", bins: int = DEFAULT_BINS) -> np.ndarray:
-    """Unit-mass histogram stack (J, h, h) of one pair for the requested
-    input variant: build_histogram per frame, normalised by unit_mass."""
-    frames = {"long": pair.long, "short": pair.short}
-    if variant == "avg":
-        frames["avg"] = RawImage((pair.long.data + pair.short.data) / 2.0)
-    return unit_mass(np.stack([build_histogram(frames[f], bins).mass for f in _variant_frames(variant)]))
+def hists_for_pair(pair: DualExposurePair, variant: str = "both", bins: int = DEFAULT_BINS,
+                   names=None) -> np.ndarray:
+    """Unit-mass histogram stack (J, h, h) of one pair: hists_for_chunk on a
+    batch of one, whose frames go in as views."""
+    longs, shorts = pair.long.as_matrix()[np.newaxis], pair.short.as_matrix()[np.newaxis]
+    return hists_for_chunk(longs, shorts, variant, bins, names)[0]
 
 
 # ============================================================

@@ -9,12 +9,11 @@ proportional to (exp(-u), 1, exp(-v)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import RawImage, _as_vec3
+from .core import _as_vec3
 from .errors import DomainError, EmptyHistogramError
 
 CHROMA_MIN = -2.85
@@ -35,37 +34,11 @@ def bin_centers(bins: int = DEFAULT_BINS) -> np.ndarray:
     return centers
 
 
-@dataclass
-class ChromaHistogram:
-    """h x h nonnegative mass grid; axis 0 indexes u bins, axis 1 indexes v bins."""
-
-    mass: np.ndarray
-    skipped: int = 0  # pixels dropped because some channel was nonpositive
-
-    def __post_init__(self):
-        self.mass = np.asarray(self.mass, dtype=np.float64)
-        if self.mass.ndim != 2 or self.mass.shape[0] != self.mass.shape[1]:
-            raise DomainError("histogram mass must be a square grid")
-        if np.any(self.mass < 0.0):
-            raise DomainError("histogram mass must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return self.mass.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.mass.sum())
-
-    def normalized(self) -> np.ndarray:
-        """Unit-total-mass grid, the form the estimator convolves over."""
-        return unit_mass(self.mass[np.newaxis].copy())[0]
-
-
-def chroma_masses(frames: np.ndarray, bins: int = DEFAULT_BINS) -> tuple:
+def build_histogram(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Accumulate ||pixel||_2 into hard-assigned (u, v) bins, for every frame
-    of an (N, 3, k) stack at once. Returns the (N, bins, bins) mass grids and
-    the (N, k) mask of valid pixels.
+    of an (N, 3, k) stack at once; returns the (N, bins, bins) mass grids,
+    axis 1 indexing u bins and axis 2 v bins. One image is a stack of one,
+    whose frame goes in as a view: img.as_matrix()[np.newaxis].
 
     Invalid pixels (any nonpositive channel) keep zero weight. Their chroma is
     not finite or meaningless, and the clip puts them in some bin, where
@@ -75,8 +48,7 @@ def chroma_masses(frames: np.ndarray, bins: int = DEFAULT_BINS) -> tuple:
     same bits in any stack.
     """
     r, g, b = frames[:, 0], frames[:, 1], frames[:, 2]
-    valid = (r > 0.0) & (g > 0.0) & (b > 0.0)
-    n = len(valid)
+    n = len(frames)
     inv_eps = 1.0 / bin_width(bins)
     # in place where it can be, so a chunk's temporaries stay few and in cache
     idx = []
@@ -94,20 +66,13 @@ def chroma_masses(frames: np.ndarray, bins: int = DEFAULT_BINS) -> tuple:
     w += g * g
     w += b * b
     np.sqrt(w, out=w)
-    w *= valid
+    w *= (r > 0.0) & (g > 0.0) & (b > 0.0)
     iu *= bins
     iu += iv
     if n > 1:
         iu += (bins * bins) * np.arange(n)[:, np.newaxis]
     flat = np.bincount(iu.reshape(-1), weights=w.reshape(-1), minlength=n * bins * bins)
-    return flat.reshape(n, bins, bins), valid
-
-
-def build_histogram(img: RawImage, bins: int = DEFAULT_BINS) -> ChromaHistogram:
-    """The log-chroma histogram of one image: chroma_masses on a batch of one,
-    whose frame goes in as a view."""
-    mass, valid = chroma_masses(img.as_matrix()[np.newaxis], bins)
-    return ChromaHistogram(mass[0], skipped=valid.size - int(np.count_nonzero(valid)))
+    return flat.reshape(n, bins, bins)
 
 
 def unit_mass(masses: np.ndarray, names=None) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import DualExposurePair, Illuminant
-from .def_feature import DefConfig, DefVector, compute_def
+from .def_feature import DefConfig, compute_def
 from .eccc import (VARIANTS, EcccParams, eccc_forward, hists_for_pair, prepare_predictor,
                    tensor_shapes as eccc_tensor_shapes)
 from .errors import DataError, DomainError
@@ -32,14 +32,10 @@ class ModelBundle:
     def uses_def(self) -> bool:
         return self.kind == "emlp" or self.eccc.use_def
 
-    def predict_pair(self, pair: DualExposurePair, feature: Optional[DefVector] = None) -> Illuminant:
-        """Estimate the illuminant of a pair. feature, when given, is the pair's
-        DEF under this bundle's def_cfg and is used instead of computing it.
-
-        The estimators are batch-first; the pair runs as a batch of one."""
-        if feature is None and self.uses_def:
-            feature = compute_def(pair, self.def_cfg)
-        defs = None if feature is None else feature.values[np.newaxis]
+    def predict_pair(self, pair: DualExposurePair) -> Illuminant:
+        """Estimate the illuminant of a pair. The estimators are batch-first;
+        the pair runs as a batch of one."""
+        defs = compute_def(pair, self.def_cfg).values[np.newaxis] if self.uses_def else None
         hists = hists_for_pair(pair, self.eccc.variant, self.eccc.bins)[np.newaxis] if self.kind == "eccc" else None
         return self._estimate(defs, hists)
 
@@ -169,9 +165,10 @@ def load_model(path: str) -> ModelBundle:
 
 
 def ensemble_predict(a: ModelBundle, b: ModelBundle, pair: DualExposurePair) -> Illuminant:
-    """Renormalised mean of both estimates; the DEF is computed once when both
-    bundles use it under the same settings."""
-    feature = None
-    if a.uses_def and b.uses_def and a.def_cfg == b.def_cfg:
-        feature = compute_def(pair, a.def_cfg)
-    return ensemble(a.predict_pair(pair, feature), b.predict_pair(pair, feature))
+    """Renormalised mean of both estimates, formed as ensemble-eval forms it:
+    each bundle runs predict_row on the pair as a chunk of one, which
+    computes each feature once per setting."""
+    from .pipeline import PairChunk  # loaded here, so inference imports stay few
+
+    chunk = PairChunk(["pair"], [pair])
+    return ensemble(a.predict_row(chunk, 0), b.predict_row(chunk, 0))

@@ -29,7 +29,7 @@ import numpy as np
 from .core import DualExposurePair
 from .def_feature import DefConfig, compute_def, def_rows
 from .eccc import hists_for_chunk, hists_for_pair, n_filters
-from .errors import DataError, EmptyHistogramError
+from .errors import DataError
 from .histogram import DEFAULT_BINS
 from .synth import DatasetManifest, load_pair
 from .training import kmeans, relight_pair
@@ -77,14 +77,8 @@ class PairChunk:
         EmptyHistogramError naming its scene."""
         key = ("hists", variant, bins)
         if len(self) == 1:
-            return self._get(key, lambda: self._one_hist(variant, bins))
+            return self._get(key, lambda: hists_for_pair(self.pairs[0], variant, bins, self.ids)[np.newaxis])
         return self._get(key, lambda: hists_for_chunk(*self._frames(), variant, bins, self.ids))
-
-    def _one_hist(self, variant: str, bins: int) -> np.ndarray:
-        try:
-            return hists_for_pair(self.pairs[0], variant, bins)[np.newaxis]
-        except EmptyHistogramError as exc:
-            raise EmptyHistogramError(f"{exc} for scenes: {self.ids[0]}") from None
 
 
 def pair_chunks(named_pairs: Iterable[Tuple[str, DualExposurePair]]) -> Iterator[PairChunk]:

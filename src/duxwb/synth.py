@@ -296,13 +296,13 @@ def generate_dataset(
     spec = spec or SceneSpec()
     if n_scenes < 1:
         raise DomainError("need at least one scene")
+    n_train, n_val, n_test = split_counts(n_scenes, splits)
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise DataError(f"output path {out_dir} is not writable")
 
     rng = np.random.default_rng(seed)
     scene_seeds = rng.integers(0, 2**31 - 1, size=n_scenes)
-    n_train, n_val, n_test = split_counts(n_scenes, splits)
     order = rng.permutation(n_scenes)
     split_of = {}
     for pos, idx in enumerate(order):

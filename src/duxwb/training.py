@@ -347,22 +347,18 @@ def train_emlp(
     features: np.ndarray,
     gts: np.ndarray,
     cfg: TrainConfig,
-    params: Optional[MlpParams] = None,
 ) -> tuple:
     """Train the MLP estimator on precomputed features; returns (params, result).
 
-    Given `params` are the starting point and are copied into the optimizer
-    (adam_init); the caller's arrays are left as they were. The returned
-    params are views of the optimizer's flat vector. Rate and batch size are
-    constant; the loss is the mean over valid rows.
+    The returned params are views of the optimizer's flat vector. Rate and
+    batch size are constant; the loss is the mean over valid rows.
     """
     cfg = cfg.resolved()
     x = np.asarray(features, dtype=np.float64)
     if len(x) == 0:
         raise DomainError("training set is empty")
     ghat = unit_rows(gts)  # row norms do not depend on the batch
-    if params is None:
-        params = emlp_init(d_in=x.shape[1], seed=cfg.seed)
+    params = emlp_init(d_in=x.shape[1], seed=cfg.seed)
     state = adam_init(params.tensors(), weight_decay=MODEL_DEFAULTS[cfg.model]["weight_decay"])
     params = MlpParams.from_tensors(state.tensors())
 
@@ -383,14 +379,12 @@ def train_eccc(
     features: Optional[np.ndarray],
     gts: np.ndarray,
     cfg: TrainConfig,
-    params: Optional[EcccParams] = None,
 ) -> tuple:
     """Train the convolutional estimator on precomputed unit-mass histograms.
 
-    hists: (N, J, h, h); features: (N, d) or None when use_def is off. As in
-    train_emlp, given `params` are copied into the optimizer, not updated.
-    The rate anneals on a cosine and the batch grows 16 -> 32 -> 64; the
-    loss is the mean over batches.
+    hists: (N, J, h, h); features: (N, d) or None when use_def is off. The
+    rate anneals on a cosine and the batch grows 16 -> 32 -> 64; the loss is
+    the mean over batches.
     """
     cfg = cfg.resolved()
     g = np.asarray(gts, dtype=np.float64)
@@ -398,21 +392,20 @@ def train_eccc(
     if n == 0:
         raise DomainError("training set is empty")
     feats = None if features is None else np.asarray(features, dtype=np.float64)
-    if params is None:
-        if cfg.use_def and feats is None:
-            raise DomainError("the feature path (use_def) needs features")
-        bank = None
-        if cfg.use_def and cfg.bias_init:
-            bank, _ = init_eccc_biases(feats, g, cfg.n_biases, cfg.hist_bins, seed=cfg.seed)
-        params = init_eccc(
-            bins=cfg.hist_bins,
-            n=cfg.n_biases,
-            variant=cfg.variant,
-            use_def=cfg.use_def,
-            def_dim=feats.shape[1] if cfg.use_def else 0,  # unused without the feature path
-            seed=cfg.seed,
-            biases=bank,
-        )
+    if cfg.use_def and feats is None:
+        raise DomainError("the feature path (use_def) needs features")
+    bank = None
+    if cfg.use_def and cfg.bias_init:
+        bank, _ = init_eccc_biases(feats, g, cfg.n_biases, cfg.hist_bins, seed=cfg.seed)
+    params = init_eccc(
+        bins=cfg.hist_bins,
+        n=cfg.n_biases,
+        variant=cfg.variant,
+        use_def=cfg.use_def,
+        def_dim=feats.shape[1] if cfg.use_def else 0,  # unused without the feature path
+        seed=cfg.seed,
+        biases=bank,
+    )
     state = adam_init(params.tensors(), weight_decay=MODEL_DEFAULTS[cfg.model]["weight_decay"])
     params = EcccParams.from_tensors(state.tensors(), params.bins, params.variant, params.use_def)
     # histograms never change during a run, so transform them once; single

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from duxwb.core import DualExposurePair, Illuminant, RawImage
+from duxwb.core import DualExposurePair, Illuminant, RawImage, covariance_triu
+from duxwb.histogram import CHROMA_MIN, bin_width
 
 
 # Upper-triangle order of the DEF's covariance block (core.covariance_triu)
 _TRIU_ROWS = (0, 0, 0, 1, 1, 2)
 _TRIU_COLS = (0, 1, 2, 1, 2, 2)
+# covariance_triu's entries, in the row-major order of a 3x3 matrix
+_TRIU_TO_FULL = (0, 1, 2, 1, 3, 4, 2, 4, 5)
 
 
 @pytest.fixture
@@ -48,3 +51,28 @@ def make_image():
 @pytest.fixture
 def make_scaled_pair():
     return scaled_pair
+
+
+def covariance3(x):
+    """The full 3x3 covariance_triu, mirrored, so it is bitwise symmetric."""
+    x = np.asarray(x)
+    return covariance_triu(x)[..., _TRIU_TO_FULL].reshape(x.shape[:-2] + (3, 3))
+
+
+def reference_histogram(img: RawImage, bins: int):
+    """histogram.build_histogram's formula on one frame, with the masking
+    copies taken: the (bins, bins) mass grid and the count of invalid pixels."""
+    m = img.as_matrix()
+    r, g, b = m[0], m[1], m[2]
+    valid = (r > 0.0) & (g > 0.0) & (b > 0.0)
+    skipped = int(m.shape[1] - np.count_nonzero(valid))
+    if not valid.any():
+        return np.zeros((bins, bins)), skipped
+    safe_r = np.where(valid, r, 1.0)
+    safe_g = np.where(valid, g, 1.0)
+    safe_b = np.where(valid, b, 1.0)
+    inv_eps = 1.0 / bin_width(bins)
+    iu = np.clip(((np.log(safe_g / safe_r) - CHROMA_MIN) * inv_eps).astype(np.intp), 0, bins - 1)
+    iv = np.clip(((np.log(safe_g / safe_b) - CHROMA_MIN) * inv_eps).astype(np.intp), 0, bins - 1)
+    w = np.sqrt(r * r + g * g + b * b) * valid
+    return np.bincount(iu * bins + iv, weights=w, minlength=bins * bins).reshape(bins, bins), skipped

@@ -91,3 +91,20 @@ def test_predict_pair_reaches_the_per_pair_extractors(monkeypatch):
     bundle = models.ModelBundle("eccc", DefConfig(), 8, eccc=eccc.init_eccc(bins=32, n=3, seed=1))
     bundle.predict_pair(pair)
     assert calls == {"compute_def": 1, "hists_for_pair": 1, "build_histogram": 2}
+
+
+def test_chunked_features_reach_the_histogram_kernel(monkeypatch, tmp_path):
+    """build_feature_set over a chunk of several pairs stacks their frames
+    into eccc.build_histogram, the function the benchmark times as
+    histogram.build_histogram: one call per frame kind."""
+    from duxwb import pipeline
+    from duxwb.synth import SceneSpec, generate_dataset
+
+    manifest = generate_dataset(str(tmp_path / "d"), 4, e_list=(8,), seed=1,
+                                spec=SceneSpec(width=16, height=12), splits=(4, 0, 0))
+    stacks = []
+    kernel = eccc.build_histogram
+    monkeypatch.setattr(eccc, "build_histogram", lambda frames, bins: stacks.append(len(frames)) or kernel(frames, bins))
+    fs = pipeline.build_feature_set(str(tmp_path / "d"), manifest, "train", 8, with_hists=True, bins=32)
+    assert fs.hists.shape == (4, 2, 32, 32)
+    assert stacks == [4, 4]

@@ -10,7 +10,7 @@ from duxwb.def_feature import COLOR_REPRS, MAPPINGS, DefConfig
 from duxwb.eccc import init_eccc
 from duxwb.errors import DataError
 from duxwb.mlp import emlp_init, init_mlp
-from duxwb import models
+from duxwb import models, pipeline
 from duxwb.models import ModelBundle, ensemble_predict, load_model, save_model
 from duxwb.synth import SceneSpec, render_pair
 from duxwb.training import ensemble
@@ -477,8 +477,8 @@ def test_ensemble_computes_def_once_per_pair(monkeypatch, rng, b_cfg, b_use_def,
     expected = [ensemble(a.predict_pair(p), b.predict_pair(p)).as_array() for p in pairs]
 
     calls = []
-    compute_def = models.compute_def
-    monkeypatch.setattr(models, "compute_def", lambda pair, cfg: calls.append(cfg) or compute_def(pair, cfg))
+    compute_def = pipeline.compute_def
+    monkeypatch.setattr(pipeline, "compute_def", lambda pair, cfg: calls.append(cfg) or compute_def(pair, cfg))
     for pair, want in zip(pairs, expected):
         assert np.array_equal(ensemble_predict(a, b, pair).as_array(), want)
     assert len(calls) == def_calls * len(pairs)

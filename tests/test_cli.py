@@ -235,6 +235,33 @@ def test_bad_exposure_factor_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--splits", "5,5"], "splits must be three nonnegative integers"),
+    (["--splits", "3,-1,0"], "splits must be three nonnegative integers"),
+    (["--splits", "1,x,1"], "splits must be three nonnegative integers"),
+    (["--width", "0"], "must be a positive integer"),
+    (["--width", "-4"], "must be a positive integer"),
+    (["--height", "0"], "must be a positive integer"),
+    (["--height", "2.5"], "must be a positive integer"),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
+def test_bad_gen_data_size_is_a_usage_error(tmp_path, capsys, flags, message):
+    """Exit 2 with the usage line at parse time, and --out is not made."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run_cli(["gen-data", "--out", str(out), "--scenes", "2", *flags])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: duxwb gen-data") and message in err
+    assert not out.exists()
+
+
+def test_gen_data_splits_off_the_scene_count_make_no_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["gen-data", "--out", str(out), "--scenes", "4", "--splits", "1,1,1", *DATA_ARGS]) == 1
+    assert "split counts must be nonnegative and sum to n_scenes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exposure_zero_means_the_checkpoints(dataset, tmp_path):
     emlp, _ = _saved_bundles(tmp_path, 8, 8)
     assert run_cli(["eval", "--ckpt", emlp, "--data", dataset, "--e", "0",

@@ -8,11 +8,12 @@ from duxwb.core import (
     angular_error,
     bilinear_upsample,
     chromaticity_matrix,
-    covariance3,
     interp_matrix,
     pinv_map,
 )
 from duxwb.errors import DomainError
+
+from conftest import covariance3
 
 
 # ============================================================
@@ -205,7 +206,7 @@ def test_pinv_requires_min_pixels():
 
 
 # ============================================================
-# covariance3
+# covariance_triu, through the test-local covariance3
 # ============================================================
 
 def test_covariance_constant_columns():

@@ -6,13 +6,20 @@ from duxwb.errors import DomainError, EmptyHistogramError
 from duxwb.histogram import (
     CHROMA_MAX,
     CHROMA_MIN,
-    ChromaHistogram,
     bin_centers,
     bin_width,
     build_histogram,
     decode_uv,
     illuminant_to_uv,
+    unit_mass,
 )
+
+from conftest import reference_histogram
+
+
+def _mass(img: RawImage, bins: int = 64) -> np.ndarray:
+    """The (bins, bins) grid of one image: build_histogram on a stack of one."""
+    return build_histogram(img.as_matrix()[np.newaxis], bins)[0]
 
 
 def test_bin_width_exact_value():
@@ -22,63 +29,63 @@ def test_bin_width_exact_value():
 def test_single_gray_pixel():
     c = 0.4
     img = RawImage(np.full((3, 1, 1), c))
-    hist = build_histogram(img)
-    assert hist.total_mass == pytest.approx(c * np.sqrt(3.0), rel=1e-12)
+    mass = _mass(img)
+    assert mass.sum() == pytest.approx(c * np.sqrt(3.0), rel=1e-12)
     # (u, v) = (0, 0) falls in the bin whose center interval contains zero
     idx = int(np.floor((0.0 - CHROMA_MIN) / bin_width(64)))
-    assert hist.mass[idx, idx] == hist.total_mass
+    assert mass[idx, idx] == mass.sum()
 
 
 def test_two_identical_pixels_double_mass():
     one = RawImage(np.array([0.2, 0.5, 0.3]).reshape(3, 1, 1))
     two = RawImage(np.tile(one.data, (1, 1, 2)))
-    h1 = build_histogram(one)
-    h2 = build_histogram(two)
-    assert np.allclose(h2.mass, 2.0 * h1.mass)
+    assert np.allclose(_mass(two), 2.0 * _mass(one))
 
 
 def test_mass_conservation(rng):
     for _ in range(20):
         img = RawImage(rng.uniform(0.0, 1.0, (3, 10, 10)))
-        hist = build_histogram(img)
         m = img.as_matrix()
         valid = (m[0] > 0) & (m[1] > 0) & (m[2] > 0)
         expected = np.sqrt((m[:, valid] ** 2).sum(axis=0)).sum()
-        assert hist.total_mass == pytest.approx(expected, rel=1e-6)
-        assert hist.skipped == int((~valid).sum())
+        assert _mass(img).sum() == pytest.approx(expected, rel=1e-6)
 
 
 def test_nonpositive_pixels_skipped():
     img = RawImage(np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.5]]).reshape(3, 1, 2))
-    hist = build_histogram(img)
-    assert hist.skipped == 1
-    assert hist.total_mass == pytest.approx(np.sqrt(3 * 0.25))
+    mass = _mass(img)
+    assert np.count_nonzero(mass) == 1  # the gray pixel's bin alone
+    assert mass.sum() == pytest.approx(np.sqrt(3 * 0.25))
 
 
 def test_out_of_range_chroma_clamps_to_edges():
     # extreme ratio pushes u far beyond the boundary
     img = RawImage(np.array([1e-6, 1.0, 1.0]).reshape(3, 1, 1))
-    hist = build_histogram(img)
-    assert hist.total_mass > 0
-    assert hist.mass[63].sum() == hist.total_mass  # u clamps to the last bin
+    mass = _mass(img)
+    assert mass.sum() > 0
+    assert mass[63].sum() == mass.sum()  # u clamps to the last bin
 
 
 def test_empty_histogram_normalize_raises():
-    img = RawImage(np.zeros((3, 4, 4)))
-    hist = build_histogram(img)
-    assert hist.total_mass == 0.0
+    masses = build_histogram(np.zeros((1, 3, 16)))
+    assert masses.sum() == 0.0
     with pytest.raises(EmptyHistogramError):
-        hist.normalized()
+        unit_mass(masses)
 
 
 def test_normalized_unit_mass(rng):
     img = RawImage(rng.uniform(0.1, 1.0, (3, 8, 8)))
-    assert build_histogram(img).normalized().sum() == pytest.approx(1.0, abs=1e-12)
+    assert unit_mass(_mass(img)[np.newaxis])[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_histogram_rejects_negative_mass():
-    with pytest.raises(DomainError):
-        ChromaHistogram(mass=-np.ones((4, 4)))
+def test_negative_channels_deposit_no_mass(rng):
+    frames = rng.uniform(-1.0, 1.0, (4, 3, 50))
+    masses = build_histogram(frames, 16)
+    assert masses.shape == (4, 16, 16)
+    assert (masses >= 0.0).all()
+    valid = (frames > 0.0).all(axis=1)
+    expected = np.sqrt((frames ** 2).sum(axis=1)) * valid
+    assert np.allclose(masses.sum(axis=(1, 2)), expected.sum(axis=1), rtol=1e-12)
 
 
 def test_bin_centers_symmetric():
@@ -108,30 +115,12 @@ def test_gray_pixel_maps_to_illuminant_bin():
     # (u, v) equals the illuminant's encoding
     ill = Illuminant(0.8, 1.0, 0.6)
     img = RawImage(np.array([ill.r, ill.g, ill.b]).reshape(3, 1, 1))
-    hist = build_histogram(img)
+    mass = _mass(img)
     u, v = illuminant_to_uv(ill)
     eps = bin_width(64)
     iu = int(np.floor((u - CHROMA_MIN) / eps))
     iv = int(np.floor((v - CHROMA_MIN) / eps))
-    assert hist.mass[iu, iv] == hist.total_mass
-
-
-def _reference_histogram(img: RawImage, bins: int):
-    """build_histogram's formula with the masking copies taken on every frame."""
-    m = img.as_matrix()
-    r, g, b = m[0], m[1], m[2]
-    valid = (r > 0.0) & (g > 0.0) & (b > 0.0)
-    skipped = int(m.shape[1] - np.count_nonzero(valid))
-    if not valid.any():
-        return np.zeros((bins, bins)), skipped
-    safe_r = np.where(valid, r, 1.0)
-    safe_g = np.where(valid, g, 1.0)
-    safe_b = np.where(valid, b, 1.0)
-    inv_eps = 1.0 / bin_width(bins)
-    iu = np.clip(((np.log(safe_g / safe_r) - CHROMA_MIN) * inv_eps).astype(np.intp), 0, bins - 1)
-    iv = np.clip(((np.log(safe_g / safe_b) - CHROMA_MIN) * inv_eps).astype(np.intp), 0, bins - 1)
-    w = np.sqrt(r * r + g * g + b * b) * valid
-    return np.bincount(iu * bins + iv, weights=w, minlength=bins * bins).reshape(bins, bins), skipped
+    assert mass[iu, iv] == mass.sum()
 
 
 def _frame(kind: str) -> RawImage:
@@ -161,13 +150,19 @@ def _frame(kind: str) -> RawImage:
 @pytest.mark.parametrize("kind", ["all_valid", "invalid_18pct", "one_valid", "none_valid"])
 def test_histogram_matches_masked_formula_bitwise(kind, bins):
     img = _frame(kind)
-    hist = build_histogram(img, bins)
-    mass, skipped = _reference_histogram(img, bins)
-    assert np.array_equal(hist.mass, mass)
-    assert hist.skipped == skipped
+    mass, skipped = reference_histogram(img, bins)
+    assert np.array_equal(_mass(img, bins), mass)
     n = img.as_matrix().shape[1]
     expected_skipped = {"all_valid": 0, "one_valid": n - 1, "none_valid": n}.get(kind)
     if expected_skipped is None:
         assert 0.15 * n < skipped < 0.21 * n
     else:
         assert skipped == expected_skipped
+
+
+@pytest.mark.parametrize("bins", [16, 64])
+def test_stack_matches_masked_formula_per_frame_bitwise(bins):
+    kinds = ["all_valid", "invalid_18pct", "one_valid", "none_valid"]
+    frames = np.stack([_frame(kind).as_matrix() for kind in kinds])
+    expected = np.stack([reference_histogram(_frame(kind), bins)[0] for kind in kinds])
+    assert build_histogram(frames, bins).tobytes() == expected.tobytes()

@@ -9,6 +9,8 @@ from duxwb.errors import DataError, EmptyHistogramError
 from duxwb.pipeline import PairChunk, build_feature_set, split_chunks
 from duxwb.synth import DatasetManifest, SceneSpec, generate_dataset, load_pair, render_pair, write_tensor
 
+from conftest import reference_histogram
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -104,10 +106,20 @@ def test_chunk_defs_match_compute_def_bitwise(color_repr, mapping, include_covar
 @pytest.mark.parametrize("bins", [32, 64])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_chunk_hists_match_hists_for_pair_bitwise(variant, bins):
+    """A chunk and each pair alone give the bits of a test-local oracle: the
+    masked formula per frame, stacked and normalised per grid."""
     pairs = _chunk_pairs()
     chunk = PairChunk([f"s{i}" for i in range(len(pairs))], pairs)
-    expected = np.stack([hists_for_pair(p, variant, bins) for p in pairs])
+    expected = np.stack([_reference_hists(p, variant, bins) for p in pairs])
     assert chunk.hists(variant, bins).tobytes() == expected.tobytes()
+    assert np.stack([hists_for_pair(p, variant, bins) for p in pairs]).tobytes() == expected.tobytes()
+
+
+def _reference_hists(pair, variant, bins):
+    frames = {"long": [pair.long], "short": [pair.short], "both": [pair.long, pair.short],
+              "avg": [RawImage((pair.long.data + pair.short.data) / 2.0)]}[variant]
+    masses = [reference_histogram(img, bins)[0] for img in frames]
+    return np.stack([m / m.sum() for m in masses])
 
 
 def _per_pair_features(root, manifest, split, e, variant="both"):

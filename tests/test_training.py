@@ -423,16 +423,6 @@ def test_resolved_reads_the_model_defaults():
         TrainConfig(model="cnn").resolved()
 
 
-def test_train_emlp_copies_given_params(rng):
-    params = emlp_init(15, seed=5)
-    before = [t.copy() for t in params.tensors().values()]
-    trained, _ = train_emlp(rng.standard_normal((20, 15)), np.abs(rng.standard_normal((20, 3))) + 0.2,
-                            TrainConfig(model="emlp", epochs=3, seed=5), params=params)
-    for a, b in zip(params.tensors().values(), before):
-        assert np.array_equal(a, b)
-    assert any(not np.array_equal(a, b) for a, b in zip(trained.tensors().values(), before))
-
-
 # ============================================================
 # Training loops against the per-tensor reference, bit for bit
 # ============================================================
