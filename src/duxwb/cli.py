@@ -119,8 +119,8 @@ def cmd_extract_def(args: argparse.Namespace) -> int:
 
     manifest = DatasetManifest.load(args.data)
     cfg = _def_config(args)
-    scenes = manifest.scenes_for(args.split)
-    rows = (row for chunk in split_chunks(args.data, manifest, args.split, args.e) for row in chunk.defs(cfg))
+    gt_of = {entry.scene_id: entry.gt for entry in manifest.scenes_for(args.split)}
+    n_rows = 0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         width = cfg.feature_length
@@ -128,12 +128,14 @@ def cmd_extract_def(args: argparse.Namespace) -> int:
         if args.with_gt:
             header += ["gt_r", "gt_g", "gt_b"]
         writer.writerow(header)
-        for entry, values in zip(scenes, rows):
-            row = [entry.scene_id, args.e] + [repr(float(v)) for v in values]
-            if args.with_gt:
-                row += [repr(float(v)) for v in entry.gt]
-            writer.writerow(row)
-    print(json.dumps({"rows": len(scenes), "out": args.out}))
+        for chunk in split_chunks(args.data, manifest, args.split, args.e):
+            for scene_id, values in zip(chunk.ids, chunk.defs(cfg)):
+                row = [scene_id, args.e] + [repr(float(v)) for v in values]
+                if args.with_gt:
+                    row += [repr(float(v)) for v in gt_of[scene_id]]
+                writer.writerow(row)
+                n_rows += 1
+    print(json.dumps({"rows": n_rows, "out": args.out}))
     return 0
 
 
@@ -229,23 +231,10 @@ def _check_split_files(root, manifest, split, keys) -> None:
         raise DataError(f"missing {keys} frames for scenes: {', '.join(missing)}")
 
 
-def _row_predictor(args, manifest, e, estimate):
-    """predict(entry) for evaluate_scenes over args.split: the split's pairs
-    are read and featurised a chunk at a time, in the order evaluate_scenes
-    asks for them, and estimate(chunk, i) runs on each pair's row."""
-    from .pipeline import split_chunks
-
-    rows = ((chunk, i) for chunk in split_chunks(args.data, manifest, args.split, e) for i in range(len(chunk)))
-
-    def predict(entry):
-        return estimate(*next(rows))
-
-    return predict
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import baseline_predictor
     from .models import load_model
+    from .pipeline import split_predictor
     from .synth import DatasetManifest
 
     manifest = DatasetManifest.load(args.data)
@@ -253,7 +242,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _evaluate(args, manifest, baseline_predictor(args.baseline, args.data), args.baseline, None)
     bundle = load_model(args.ckpt)
     e = args.e or bundle.e
-    return _evaluate(args, manifest, _row_predictor(args, manifest, e, bundle.predict_row), bundle.kind, e)
+    return _evaluate(args, manifest, split_predictor(args.data, manifest, args.split, e, bundle.predict), bundle.kind, e)
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -275,6 +264,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     from .errors import DataError
     from .models import load_model
+    from .pipeline import split_predictor
     from .synth import DatasetManifest
     from .training import ensemble
 
@@ -286,11 +276,11 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
         raise DataError(f"the checkpoints record exposure factors {low} and {high}; choose one with --e")
     e = args.e or bundle_a.e
 
-    def estimate(chunk, i):
+    def predict(chunk):
         # the chunk keeps each feature per setting, so bundles sharing the DEF compute it once
-        return ensemble(bundle_a.predict_row(chunk, i), bundle_b.predict_row(chunk, i))
+        return ensemble(bundle_a.predict(chunk), bundle_b.predict(chunk))
 
-    return _evaluate(args, manifest, _row_predictor(args, manifest, e, estimate), "ensemble", e)
+    return _evaluate(args, manifest, split_predictor(args.data, manifest, args.split, e, predict), "ensemble", e)
 
 
 # ============================================================

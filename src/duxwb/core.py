@@ -69,15 +69,17 @@ class RawImage:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3 or self.data.shape[0] != 3:
             raise DomainError(f"raw image must have shape (3, h, w), got {self.data.shape}")
-        if self.data.size == 0:
-            return
-        # two reductions instead of two full-size boolean temporaries: NaN
-        # propagates through both, and an infinity surfaces as an extreme
-        lo, hi = self.data.min(), self.data.max()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError("raw image contains non-finite values")
-        if lo < 0.0:
-            raise DomainError("raw image contains negative values")
+        if self.data.size:
+            check_frames(self.data)
+
+    @classmethod
+    def of_checked(cls, data: np.ndarray) -> "RawImage":
+        """A RawImage over float64 (3, h, w) data whose values have passed
+        check_frames, such as a view into a checked frame stack: no copy and no
+        second pass."""
+        img = cls.__new__(cls)
+        img.data = data
+        return img
 
     @property
     def height(self) -> int:
@@ -113,8 +115,48 @@ class DualExposurePair:
 
 
 # ============================================================
-# Angular error and chromaticity
+# Frame, illuminant and angular-error checks over stacks
 # ============================================================
+
+def check_frames(data: np.ndarray) -> None:
+    """Raise DomainError unless every value of an image, or of a whole stack
+    of them, is finite and nonnegative. Two reductions instead of two
+    full-size boolean temporaries: NaN propagates through both, and an
+    infinity surfaces as an extreme."""
+    lo, hi = data.min(), data.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("raw image contains non-finite values")
+    if lo < 0.0:
+        raise DomainError("raw image contains negative values")
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (B, 3) array, with the bits of the 1-D
+    np.linalg.norm of that row (a dot product; norm(axis=1) rounds otherwise)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def check_illuminants(rows: np.ndarray, names=None) -> np.ndarray:
+    """Illuminant's checks on every row of an (N, 3) array at once. The first
+    failing row raises the DomainError Illuminant raises for it, prefixed by
+    its name from names when given. Returns rows."""
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    ok = (lo >= 0.0) & (hi > 0.0) & (hi < math.inf)  # False on NaN, like each check
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            Illuminant.from_array(rows[i])
+        except DomainError as exc:
+            raise DomainError(str(exc) if names is None else f"{names[i]}: {exc}") from None
+    return rows
+
+
+def unit_illuminants(rows, names=None) -> np.ndarray:
+    """Illuminant.from_array(row).normalized() for every row of an (N, 3)
+    array, checks and bits included, as one (N, 3) float64 array."""
+    rows = check_illuminants(np.asarray(rows, dtype=np.float64).reshape(-1, 3), names)
+    return check_illuminants(rows / row_norms(rows)[:, np.newaxis], names)
+
 
 def _as_vec3(v) -> np.ndarray:
     if isinstance(v, Illuminant):
@@ -122,16 +164,24 @@ def _as_vec3(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(3)
 
 
-def angular_error(a, b) -> float:
-    """Angle between two color vectors in degrees; symmetric and scale-invariant."""
-    va, vb = _as_vec3(a), _as_vec3(b)
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na < 1e-300 or nb < 1e-300:
+def angular_errors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle in degrees between matching rows of two (N, 3) arrays; symmetric
+    and scale-invariant. A zero-norm row raises DomainError."""
+    na, nb = row_norms(a), row_norms(b)
+    if np.any(na < 1e-300) or np.any(nb < 1e-300):
         raise DomainError("angular error undefined for zero-norm vectors")
-    c = float(np.dot(va, vb) / (na * nb))
-    c = min(1.0, max(-1.0, c))
-    return float(np.degrees(np.arccos(c)))
+    c = np.clip(np.vecdot(a, b) / (na * nb), -1.0, 1.0)
+    return np.degrees(np.arccos(c))
 
+
+def angular_error(a, b) -> float:
+    """Angle between two color vectors in degrees: angular_errors on one row."""
+    return float(angular_errors(_as_vec3(a)[np.newaxis], _as_vec3(b)[np.newaxis])[0])
+
+
+# ============================================================
+# Chromaticity
+# ============================================================
 
 def chromaticity_matrix(m: np.ndarray, eps: float) -> np.ndarray:
     """rgb-chromaticity of a 3 x k matrix, or of a (..., 3, k) stack of them;

@@ -4,17 +4,21 @@ The report carries the seven statistics used throughout color constancy
 benchmarks: mean, median, trimean, best-25% mean, worst-25% mean, worst-5%
 mean, and max. Quantiles use linear interpolation; the best/worst subsets take
 the ceiling of the requested fraction.
+
+The harness asks its predictor for one estimate per scene, then normalises,
+checks and scores the whole split as (N, 3) arrays, with the bits each scene
+gets on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Illuminant, RawImage, angular_error
+from .core import Illuminant, RawImage, _as_vec3, angular_errors, unit_illuminants
 from .errors import DataError, DomainError
 from .synth import DatasetManifest, SceneEntry, load_image
 
@@ -129,30 +133,29 @@ class SceneResult:
 
 
 def evaluate_scenes(
-    predict: Callable[[SceneEntry], Illuminant],
+    predict: Callable[[SceneEntry], Union[Illuminant, np.ndarray]],
     manifest: DatasetManifest,
     root: str,
     split: str,
 ) -> tuple:
-    """Run a predictor over a split; returns (ErrorReport, [SceneResult])."""
+    """Run a predictor over a split; returns (ErrorReport, [SceneResult]).
+
+    predict(entry) is called once per scene, in manifest order, and returns
+    the scene's estimate as an Illuminant or a length-3 array. The estimates
+    and ground truths are then normalised, checked and scored as (N, 3)
+    arrays; each scene gets the bits of Illuminant.normalized and
+    angular_error on its own, and a failed check names its scene.
+    """
     scenes = manifest.scenes_for(split)
     if not scenes:
         raise DataError(f"split {split!r} holds no scenes")
-    results: List[SceneResult] = []
-    for entry in scenes:
-        gt = Illuminant.from_array(np.array(entry.gt)).normalized()
-        pred = predict(entry).normalized()
-        err = angular_error(pred, gt)
-        results.append(
-            SceneResult(
-                scene_id=entry.scene_id,
-                error_deg=err,
-                predicted=[pred.r, pred.g, pred.b],
-                gt=[gt.r, gt.g, gt.b],
-            )
-        )
-    report = compute_report([r.error_deg for r in results])
-    return report, results
+    ids = [entry.scene_id for entry in scenes]
+    gts = unit_illuminants([entry.gt for entry in scenes], ids)
+    preds = unit_illuminants(np.stack([_as_vec3(predict(entry)) for entry in scenes]), ids)
+    errors = angular_errors(preds, gts)
+    results = [SceneResult(scene_id=i, error_deg=err, predicted=p, gt=g)
+               for i, err, p, g in zip(ids, errors.tolist(), preds.tolist(), gts.tolist())]
+    return compute_report(errors), results
 
 
 def baseline_predictor(name: str, root: str) -> Callable[[SceneEntry], Illuminant]:

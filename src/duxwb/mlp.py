@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import row_norms
 from .errors import DegenerateOutputError, DomainError
 
 HIDDEN_WIDTH = 9
@@ -136,12 +137,6 @@ def mlp_backward(params: MlpParams, trace: dict, dout: np.ndarray) -> dict:
 # ============================================================
 # Angular loss
 # ============================================================
-
-def row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (B, 3) array, with the bits of the 1-D
-    np.linalg.norm of that row (a dot product; norm(axis=1) rounds otherwise)."""
-    return np.sqrt(np.vecdot(v, v))
-
 
 def unit_rows(gts: np.ndarray) -> np.ndarray:
     """Ground truths scaled to unit rows; a zero row raises DomainError."""

@@ -1,5 +1,12 @@
 """Bundle a trained estimator with the feature/exposure configuration it was
-trained under, and move the bundle through the shared checkpoint format."""
+trained under, and move the bundle through the shared checkpoint format.
+
+ModelBundle.predict(chunk) is the one chunk prediction path: the (N, 3) unit
+estimates of a pipeline.PairChunk, whose features are computed once for the
+whole chunk. predict_pair estimates one in-memory pair. Both run the
+estimator on each row as a batch of one, so a pair's estimate has the same
+bits in any chunk and in `duxwb infer`.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import DualExposurePair, Illuminant
+from .core import DualExposurePair, Illuminant, check_illuminants
 from .def_feature import DefConfig, compute_def
 from .eccc import (VARIANTS, EcccParams, eccc_forward, hists_for_pair, prepare_predictor,
                    tensor_shapes as eccc_tensor_shapes)
@@ -37,24 +44,25 @@ class ModelBundle:
         the pair runs as a batch of one."""
         defs = compute_def(pair, self.def_cfg).values[np.newaxis] if self.uses_def else None
         hists = hists_for_pair(pair, self.eccc.variant, self.eccc.bins)[np.newaxis] if self.kind == "eccc" else None
-        return self._estimate(defs, hists)
+        return Illuminant.from_array(self._forward(defs, hists)[0])
 
-    def predict_row(self, chunk, i: int) -> Illuminant:
-        """predict_pair for pair i of a pipeline.PairChunk, whose features are
-        computed once for the whole chunk. The estimator still runs on a batch
-        of one, so the estimate has predict_pair's bits."""
-        defs = chunk.defs(self.def_cfg)[i:i + 1] if self.uses_def else None
-        hists = chunk.hists(self.eccc.variant, self.eccc.bins)[i:i + 1] if self.kind == "eccc" else None
-        return self._estimate(defs, hists)
+    def predict(self, chunk) -> np.ndarray:
+        """(N, 3) unit-norm estimates for a pipeline.PairChunk, whose features
+        are computed once for the whole chunk. The estimator runs each row as
+        a batch of one, so every row has predict_pair's bits: a product over
+        one row and one over many round differently."""
+        defs = chunk.defs(self.def_cfg) if self.uses_def else None
+        hists = chunk.hists(self.eccc.variant, self.eccc.bins) if self.kind == "eccc" else None
+        rows = [self._forward(None if defs is None else defs[i:i + 1], None if hists is None else hists[i:i + 1])
+                for i in range(len(chunk))]
+        return check_illuminants(np.concatenate(rows), chunk.ids)
 
-    def _estimate(self, defs: Optional[np.ndarray], hists: Optional[np.ndarray]) -> Illuminant:
+    def _forward(self, defs: Optional[np.ndarray], hists: Optional[np.ndarray]) -> np.ndarray:
         if self.kind == "emlp":
-            unit = emlp_forward(self.emlp, defs)
-        else:
-            if self._prepared is None:
-                self._prepared = prepare_predictor(self.eccc)
-            unit = eccc_forward(self.eccc, hists, defs, prepared=self._prepared)
-        return Illuminant.from_array(unit[0])
+            return emlp_forward(self.emlp, defs)
+        if self._prepared is None:
+            self._prepared = prepare_predictor(self.eccc)
+        return eccc_forward(self.eccc, hists, defs, prepared=self._prepared)
 
 
 _DEF_PREFIX = "def_"
@@ -166,9 +174,9 @@ def load_model(path: str) -> ModelBundle:
 
 def ensemble_predict(a: ModelBundle, b: ModelBundle, pair: DualExposurePair) -> Illuminant:
     """Renormalised mean of both estimates, formed as ensemble-eval forms it:
-    each bundle runs predict_row on the pair as a chunk of one, which
-    computes each feature once per setting."""
+    the pair is a chunk of one, which computes each feature once per setting,
+    and both bundles predict it."""
     from .pipeline import PairChunk  # loaded here, so inference imports stay few
 
-    chunk = PairChunk(["pair"], [pair])
-    return ensemble(a.predict_row(chunk, 0), b.predict_row(chunk, 0))
+    chunk = PairChunk.from_pairs(["pair"], [pair])
+    return Illuminant.from_array(ensemble(a.predict(chunk), b.predict(chunk))[0])

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -64,6 +64,26 @@ class SceneSpec:
     locus_v_lin: float = -0.45
     locus_v_quad: float = -0.08
     chroma_jitter: float = 0.04
+
+    def __post_init__(self):
+        """Each field in its domain, so a bad spec fails before any file is made."""
+        for name in ("width", "height", "patch_count", "bit_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise DomainError(f"SceneSpec.{name} must be a positive integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise DomainError(f"SceneSpec.{f.name} must be a finite number, got {value!r}")
+        for name in ("albedo_shape", "shading_range_lo", "exposure_target"):
+            if not getattr(self, name) > 0.0:
+                raise DomainError(f"SceneSpec.{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("albedo_lo", "sigma_read", "sigma_shot", "lobe_sigma", "chroma_jitter"):
+            if not getattr(self, name) >= 0.0:
+                raise DomainError(f"SceneSpec.{name} must be nonnegative, got {getattr(self, name)!r}")
+        for lo, hi in (("albedo_lo", "albedo_hi"), ("shading_range_lo", "shading_range_hi")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise DomainError(f"SceneSpec.{lo} must not exceed {hi}, got {getattr(self, lo)!r} > {getattr(self, hi)!r}")
 
     def small(self) -> "SceneSpec":
         """48x32 variant mirroring the reduced-input ablation."""
@@ -170,7 +190,11 @@ def write_tensor(path: str, data: np.ndarray) -> None:
 
 
 def read_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open tensor file: {exc.strerror}") from None
+    with fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
@@ -355,14 +379,17 @@ def generate_dataset(
 # Loading
 # ============================================================
 
-def load_image(root: str, entry: SceneEntry, key: str) -> RawImage:
+def frame_path(root: str, entry: SceneEntry, key: str) -> str:
+    """Path of the scene's frame key; a key the scene lacks raises DataError,
+    and read_tensor reports a missing file."""
     rel = entry.files.get(key)
     if rel is None:
         raise DataError(f"scene {entry.scene_id} has no frame {key!r}")
-    path = os.path.join(root, rel)
-    if not os.path.isfile(path):
-        raise DataError(f"missing tensor file {path} (scene {entry.scene_id})")
-    return RawImage(read_tensor(path))
+    return os.path.join(root, rel)
+
+
+def load_image(root: str, entry: SceneEntry, key: str) -> RawImage:
+    return RawImage(read_tensor(frame_path(root, entry, key)))
 
 
 def load_pair(root: str, entry: SceneEntry, e: int) -> DualExposurePair:

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .convops import fft_image, fft_size
-from .core import DualExposurePair, Illuminant, RawImage, _as_vec3
+from .core import DualExposurePair, Illuminant, RawImage, _as_vec3, row_norms
 from .eccc import UPSAMPLE_FACTOR, EcccParams, _backward_batch, _forward_batch, init_eccc
 from .errors import DomainError
 from .histogram import CHROMA_MIN, DEFAULT_BINS, bin_width
@@ -425,11 +425,11 @@ def train_eccc(
 # Ensembling
 # ============================================================
 
-def ensemble(a, b) -> Illuminant:
-    """Mean of two unit predictions, renormalized."""
-    va, vb = _as_vec3(a), _as_vec3(b)
-    mean = (va / np.linalg.norm(va) + vb / np.linalg.norm(vb)) / 2.0
-    norm = np.linalg.norm(mean)
-    if norm < 1e-12:
+def ensemble(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise mean of two (N, 3) prediction stacks, each row scaled to unit
+    norm first, renormalised; each row has the bits of its pair alone."""
+    mean = (a / row_norms(a)[:, np.newaxis] + b / row_norms(b)[:, np.newaxis]) / 2.0
+    norm = row_norms(mean)
+    if np.any(norm < 1e-12):
         raise DomainError("cannot ensemble antipodal predictions")
-    return Illuminant.from_array(mean / norm)
+    return mean / norm[:, np.newaxis]

@@ -3,6 +3,7 @@ import pytest
 
 from duxwb.core import DualExposurePair, Illuminant, RawImage, covariance_triu
 from duxwb.histogram import CHROMA_MIN, bin_width
+from duxwb.synth import DatasetManifest, SceneSpec, generate_dataset, read_tensor, write_tensor
 
 
 # Upper-triangle order of the DEF's covariance block (core.covariance_triu)
@@ -76,3 +77,45 @@ def reference_histogram(img: RawImage, bins: int):
     iv = np.clip(((np.log(safe_g / safe_b) - CHROMA_MIN) * inv_eps).astype(np.intp), 0, bins - 1)
     w = np.sqrt(r * r + g * g + b * b) * valid
     return np.bincount(iu * bins + iv, weights=w, minlength=bins * bins).reshape(bins, bins), skipped
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset(tmp_path_factory):
+    """One manifest whose train scenes alternate runs of 32x24 and 16x16 frames."""
+    root = tmp_path_factory.mktemp("mixed")
+    parts = {}
+    for name, (w, h) in {"a": (32, 24), "b": (16, 16)}.items():
+        m = generate_dataset(str(root / name), 5, e_list=(8,), seed=len(name) + w, spec=SceneSpec(width=w, height=h),
+                             splits=(5, 0, 0))
+        for entry in m.scenes:
+            entry.scene_id = f"{name}-{entry.scene_id}"
+            entry.files = {k: f"{name}/{v}" for k, v in entry.files.items()}
+        parts[name] = m
+    a, b = parts["a"].scenes, parts["b"].scenes
+    manifest = DatasetManifest(seed=0, width=32, height=24, e_list=[8], scenes=a[:2] + b[:3] + a[2:] + b[3:])
+    manifest.save(str(root))
+    return str(root), manifest
+
+
+# Ways a stored pair can be broken, each for the loader to report by name:
+# a NaN, an infinite or a negative pixel in one frame, frames of two sizes,
+# and a payload cut short.
+BAD_FRAMES = ("nan", "inf", "negative", "sizes", "truncated")
+
+
+def break_frame(root: str, entry, how: str, e: int = 8) -> str:
+    """Break the stored pair of entry as `how` names; returns the text the
+    loader's error must hold (the file's path, or the scene for two sizes)."""
+    long_path, short_path = (f"{root}/{entry.files[f'{kind}_{e}']}" for kind in ("long", "short"))
+    if how == "truncated":
+        with open(long_path, "rb+") as fh:
+            fh.truncate(fh.seek(0, 2) - 10)
+        return long_path
+    if how == "sizes":
+        write_tensor(short_path, np.full((3, 4, 4), 0.5))
+        return f"scene {entry.scene_id}"
+    path = short_path if how == "nan" else long_path
+    data = read_tensor(path)
+    data[1, data.shape[1] // 2, data.shape[2] // 3] = {"nan": np.nan, "inf": np.inf, "negative": -0.25}[how]
+    write_tensor(path, data)
+    return path

@@ -474,7 +474,8 @@ def test_ensemble_computes_def_once_per_pair(monkeypatch, rng, b_cfg, b_use_def,
         arr += rng.standard_normal(arr.shape) * 0.3
     b = ModelBundle(kind="eccc", def_cfg=b_cfg, e=8, eccc=params)
     pairs = [render_pair(SceneSpec().small(), 8, seed=s) for s in range(3)]
-    expected = [ensemble(a.predict_pair(p), b.predict_pair(p)).as_array() for p in pairs]
+    expected = [ensemble(a.predict_pair(p).as_array()[np.newaxis], b.predict_pair(p).as_array()[np.newaxis])[0]
+                for p in pairs]
 
     calls = []
     compute_def = pipeline.compute_def
@@ -482,3 +483,29 @@ def test_ensemble_computes_def_once_per_pair(monkeypatch, rng, b_cfg, b_use_def,
     for pair, want in zip(pairs, expected):
         assert np.array_equal(ensemble_predict(a, b, pair).as_array(), want)
     assert len(calls) == def_calls * len(pairs)
+
+
+def _perturbed(params, rng):
+    for arr in params.tensors().values():
+        arr += rng.standard_normal(arr.shape) * 0.3
+    return params
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_predict_rows_have_predict_pair_bits_in_any_chunk(rng, n):
+    """Every row of ModelBundle.predict has the bits predict_pair gives its
+    pair alone, for EMLP and ECCC (with and without the feature path), and
+    the ensemble of two chunk predictions has ensemble_predict's bits."""
+    pairs = [render_pair(SceneSpec().small(), 8, seed=s) for s in range(n)]
+    chunk = pipeline.PairChunk.from_pairs([f"s{i}" for i in range(n)], pairs)
+    emlp = ModelBundle(kind="emlp", def_cfg=DefConfig(), e=8, emlp=_perturbed(emlp_init(15, seed=3), rng))
+    bundles = [emlp] + [ModelBundle(kind="eccc", def_cfg=DefConfig(), e=8,
+                                    eccc=_perturbed(init_eccc(bins=32, n=4, use_def=use_def, seed=5), rng))
+                        for use_def in (True, False)]
+    for bundle in bundles:
+        rows = bundle.predict(chunk)
+        assert rows.shape == (n, 3)
+        assert rows.tobytes() == np.stack([bundle.predict_pair(p).as_array() for p in pairs]).tobytes()
+    for other in bundles[1:]:
+        both = ensemble(emlp.predict(chunk), other.predict(chunk))
+        assert both.tobytes() == np.stack([ensemble_predict(emlp, other, p).as_array() for p in pairs]).tobytes()

@@ -11,6 +11,8 @@ import pytest
 
 from duxwb.cli import main
 
+from conftest import BAD_FRAMES, break_frame
+
 DATA_ARGS = ["--width", "32", "--height", "24", "--e-list", "2,8"]
 
 
@@ -173,11 +175,14 @@ def _report_bytes(report, results, label, split, e) -> tuple:
     return text.encode(), table.getvalue().encode()
 
 
-@pytest.mark.parametrize("per_chunk", [3, 100])
-def test_eval_outputs_match_per_pair_predictions_bytewise(dataset, tmp_path, monkeypatch, per_chunk):
-    """eval and ensemble-eval featurise the split in chunks (here 3 pairs, or
-    all 16 train pairs in one); their reports and CSVs are those of
-    predict_pair and ensemble_predict run pair by pair."""
+@pytest.mark.parametrize("data,per_chunk", [("dataset", 1), ("dataset", 3), ("dataset", 100),
+                                            ("mixed_dataset", 3), ("mixed_dataset", 100)],
+                         ids=["1", "3", "100", "mixed-3", "mixed-100"])
+def test_eval_outputs_match_per_pair_predictions_bytewise(request, tmp_path, monkeypatch, data, per_chunk):
+    """eval and ensemble-eval featurise and predict the split in chunks (here
+    chunks of one, of 3 pairs of 32x24, or all train pairs of a size in one;
+    the mixed dataset alternates 32x24 and 16x16 frames); their reports and
+    CSVs are those of predict_pair and ensemble_predict run pair by pair."""
     from duxwb import pipeline
     from duxwb.def_feature import DefConfig
     from duxwb.evaluation import evaluate_scenes
@@ -185,6 +190,8 @@ def test_eval_outputs_match_per_pair_predictions_bytewise(dataset, tmp_path, mon
     from duxwb.models import ModelBundle, ensemble_predict, load_model, save_model
     from duxwb.synth import DatasetManifest, load_pair
 
+    dataset = request.getfixturevalue(data)
+    dataset = dataset[0] if data == "mixed_dataset" else dataset
     monkeypatch.setattr(pipeline, "PIXEL_BUDGET", per_chunk * 32 * 24)
     emlp, eccc = _saved_bundles(tmp_path, 8, 8)
     rgb = str(tmp_path / "rgb.ckpt")  # an EMLP on another DEF than the ECCC's
@@ -203,6 +210,48 @@ def test_eval_outputs_match_per_pair_predictions_bytewise(dataset, tmp_path, mon
                                           manifest, dataset, "train")
         with open(out + ".json", "rb") as fj, open(out + ".csv", "rb") as fc:
             assert (fj.read(), fc.read()) == _report_bytes(report, results, label, "train", 8), argv
+
+
+@pytest.mark.parametrize("how", BAD_FRAMES)
+@pytest.mark.parametrize("per_chunk", [1, 100])
+def test_eval_of_a_broken_pair_exits_1_with_one_message(tmp_path, capsys, monkeypatch, how, per_chunk):
+    """The third of five pairs is broken, in the middle of one chunk or in a
+    chunk of its own: eval exits 1 with one error line naming the file (the
+    scene, for frames of two sizes) and writes no report."""
+    from duxwb import pipeline
+    from duxwb.synth import SceneSpec, generate_dataset
+
+    root = str(tmp_path / "d")
+    manifest = generate_dataset(root, 5, e_list=(8,), seed=1, spec=SceneSpec(width=32, height=24), splits=(0, 5, 0))
+    named = break_frame(root, manifest.scenes[2], how)
+    emlp, _ = _saved_bundles(tmp_path, 8, 8)
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", per_chunk * 32 * 24)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert run_cli(["eval", "--ckpt", emlp, "--data", root, "--out-report", out + ".json",
+                    "--out-csv", out + ".csv"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith('{"resolved_config"')]
+    assert len(errors) == 1 and errors[0].startswith("error: ") and named in errors[0]
+    assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
+
+
+def test_extract_def_writes_each_chunks_own_ids(mixed_dataset, tmp_path, monkeypatch):
+    """Rows carry the ids of the chunk they were computed in, in manifest
+    order, with the features and raw ground truths of that scene."""
+    from duxwb import pipeline
+    from duxwb.def_feature import compute_def
+    from duxwb.synth import load_pair
+
+    root, manifest = mixed_dataset
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 2 * 32 * 24)
+    out = str(tmp_path / "defs.csv")
+    assert run_cli(["extract-def", "--data", root, "--out", out, "--with-gt"]) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[0] for row in rows] == [entry.scene_id for entry in manifest.scenes]
+    for row, entry in zip(rows, manifest.scenes):
+        want = compute_def(load_pair(root, entry, 8)).values
+        assert row[2:17] == [repr(float(v)) for v in want] and row[17:] == [repr(float(v)) for v in entry.gt]
 
 
 @pytest.mark.parametrize("argv", [
@@ -323,23 +372,28 @@ def test_infer(dataset, tmp_path, capsys):
 
 
 # Runs each (name, argv) through cli.main in a fresh interpreter and prints the
-# scipy modules loaded after each one; pytest's own process has scipy loaded.
-SCIPY_PROBE = """
+# scipy and duxwb modules loaded after each one, cumulatively; pytest's own
+# process has both loaded.
+MODULE_PROBE = """
 import json, sys
 from duxwb.cli import main
 loaded = {}
 for name, argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, name
-    loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "duxwb"))
 print(json.dumps(loaded))
 """
 
 
-def scipy_modules_after(commands):
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+def modules_after(commands):
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(commands)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def scipy_modules_after(commands):
+    return {name: [m for m in loaded if m.startswith("scipy")] for name, loaded in modules_after(commands).items()}
 
 
 def test_inference_commands_leave_scipy_unloaded(dataset, tmp_path):
@@ -351,7 +405,7 @@ def test_inference_commands_leave_scipy_unloaded(dataset, tmp_path):
                     "--out", eccc_ckpt, "--epochs", "1", "--n", "3", "--seed", "0"]) == 0
     with open(os.path.join(dataset, "manifest.json")) as fh:
         files = json.load(fh)["scenes"][0]["files"]
-    loaded = scipy_modules_after([
+    loaded = modules_after([
         ("infer", ["infer", "--ckpt", eccc_ckpt, "--long", os.path.join(dataset, files["long_8"]),
                    "--short", os.path.join(dataset, files["short_8"])]),
         ("eval", ["eval", "--ckpt", eccc_ckpt, "--data", dataset, "--split", "val",
@@ -359,7 +413,12 @@ def test_inference_commands_leave_scipy_unloaded(dataset, tmp_path):
         ("ensemble-eval", ["ensemble-eval", "--ckpt-a", emlp_ckpt, "--ckpt-b", eccc_ckpt, "--data", dataset,
                            "--split", "val", "--out-report", str(tmp_path / "ens.json")]),
     ])
-    assert loaded == {"infer": [], "eval": [], "ensemble-eval": []}
+    assert {name: [m for m in mods if m.startswith("scipy")] for name, mods in loaded.items()} == {
+        "infer": [], "eval": [], "ensemble-eval": []}
+    # a cold infer reads its two frames without the dataset pipeline; eval
+    # loads it, which shows the probe sees duxwb's own modules
+    assert "duxwb.models" in loaded["infer"] and "duxwb.pipeline" not in loaded["infer"]
+    assert "duxwb.pipeline" in loaded["eval"]
 
 
 def test_eccc_training_loads_scipy(dataset, tmp_path):

@@ -6,10 +6,14 @@ from duxwb.core import (
     Illuminant,
     RawImage,
     angular_error,
+    angular_errors,
     bilinear_upsample,
+    check_frames,
+    check_illuminants,
     chromaticity_matrix,
     interp_matrix,
     pinv_map,
+    unit_illuminants,
 )
 from duxwb.errors import DomainError
 
@@ -53,6 +57,55 @@ def test_angular_error_accepts_illuminants():
 def test_angular_error_zero_vector_raises():
     with pytest.raises(DomainError):
         angular_error([0, 0, 0], [1, 1, 1])
+
+
+def test_angular_errors_rows_have_the_1d_formula_bits(rng):
+    a = rng.uniform(0.0, 1.0, (500, 3)) * rng.choice([1e-3, 1.0, 1e3], (500, 1))
+    b = rng.uniform(0.0, 1.0, (500, 3))
+    b[:5] = a[:5] * 7.0  # parallel rows, whose cosine may round past 1
+
+    def one(va, vb):
+        c = float(np.dot(va, vb) / (np.linalg.norm(va) * np.linalg.norm(vb)))
+        return float(np.degrees(np.arccos(min(1.0, max(-1.0, c)))))
+
+    want = [one(va, vb) for va, vb in zip(a, b)]
+    assert angular_errors(a, b).tolist() == want
+    assert [angular_error(va, vb) for va, vb in zip(a, b)] == want
+
+
+@pytest.mark.parametrize("row", [[np.nan, 1.0, 1.0], [np.inf, 0.0, 0.0], [1.0, -np.inf, 1.0], [0.2, -0.1, 1.0],
+                                 [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, 0.0, 0.0], [1e-300, 0.0, 0.0]])
+def test_check_illuminants_agrees_with_illuminant(row):
+    rows = np.array([[0.3, 0.4, 0.5], row, [1.0, 1.0, 1.0]])
+    try:
+        Illuminant.from_array(row)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^s1: {exc}$"):
+            check_illuminants(rows, ["s0", "s1", "s2"])
+        with pytest.raises(DomainError, match=f"^{exc}$"):
+            check_illuminants(rows)
+    else:
+        assert check_illuminants(rows) is rows
+
+
+def test_unit_illuminants_have_the_bits_of_normalized(rng):
+    rows = rng.uniform(0.0, 1.0, (300, 3)) * rng.choice([1e-6, 1.0, 1e6], (300, 1))
+    want = np.stack([Illuminant.from_array(r).normalized().as_array() for r in rows])
+    assert unit_illuminants(rows).tobytes() == want.tobytes()
+    assert unit_illuminants(rows.tolist()).tobytes() == want.tobytes()
+
+
+def test_check_frames_reports_what_raw_image_reports():
+    stack = np.full((4, 3, 5, 6), 0.5)
+    check_frames(stack)
+    for bad, message in ((np.nan, "non-finite"), (-1.0, "negative")):
+        stack[2, 1, 3, 4] = bad
+        with pytest.raises(DomainError, match=message):
+            check_frames(stack)
+        with pytest.raises(DomainError, match=message):
+            RawImage(stack[2])
+        check_frames(stack[:2])
+        stack[2, 1, 3, 4] = 0.5
 
 
 # ============================================================

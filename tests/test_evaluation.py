@@ -209,3 +209,45 @@ def test_report_invariant_violation_detected():
     with pytest.raises(DomainError):
         ErrorReport(mean=5.0, median=2.0, trimean=2.0, best25_mean=6.0,
                     worst25_mean=7.0, worst5_mean=8.0, max=9.0, errors=[1.0])
+
+
+def _scene_score(pred, gt):
+    """One scene scored the way Illuminant.normalized and a 1-D angular error
+    formula do it: (error, unit prediction, unit ground truth)."""
+    p = np.asarray(pred, dtype=np.float64)
+    p = p / np.linalg.norm(p)
+    g = np.asarray(gt, dtype=np.float64)
+    g = g / np.linalg.norm(g)
+    c = float(np.dot(p, g) / (np.linalg.norm(p) * np.linalg.norm(g)))
+    return float(np.degrees(np.arccos(min(1.0, max(-1.0, c))))), p.tolist(), g.tolist()
+
+
+def test_scores_have_the_bits_of_each_scene_alone(tmp_path, rng):
+    """Estimates at any scale, as arrays or Illuminants, scored as one array;
+    each scene's error, prediction and ground truth has the per-scene bits."""
+    out = str(tmp_path / "d")
+    manifest = generate_dataset(out, 40, e_list=(2,), seed=3, spec=SceneSpec(width=8, height=8), splits=(40, 0, 0))
+    scenes = manifest.scenes_for("train")
+    preds = rng.uniform(0.0, 1.0, (40, 3)) * rng.choice([1e-4, 1.0, 1e4], (40, 1))
+    preds[5] = np.array(scenes[5].gt) * 3.0  # an exact hit
+    by_id = {entry.scene_id: p if i % 2 else Illuminant.from_array(p) for i, (entry, p) in enumerate(zip(scenes, preds))}
+    calls = []
+    report, results = evaluate_scenes(lambda entry: calls.append(entry.scene_id) or by_id[entry.scene_id],
+                                      manifest, out, "train")
+    assert calls == [entry.scene_id for entry in scenes]
+    for r, entry, p in zip(results, scenes, preds):
+        assert (r.error_deg, r.predicted, r.gt) == _scene_score(p, entry.gt)
+    assert report.errors == [r.error_deg for r in results]
+
+
+@pytest.mark.parametrize("bad,message", [
+    ([np.nan, 1.0, 1.0], "illuminant components must be finite"),
+    ([0.5, -0.1, 1.0], "illuminant components must be nonnegative"),
+    ([0.0, 0.0, 0.0], "illuminant must have at least one positive component"),
+])
+def test_bad_estimate_names_its_scene(tmp_path, bad, message):
+    out = str(tmp_path / "d")
+    manifest = generate_dataset(out, 6, e_list=(2,), seed=2, spec=SceneSpec(width=8, height=8), splits=(6, 0, 0))
+    third = manifest.scenes_for("train")[2].scene_id
+    with pytest.raises(DomainError, match=f"^{third}: {message}$"):
+        evaluate_scenes(lambda entry: np.array(bad) if entry.scene_id == third else np.ones(3), manifest, out, "train")

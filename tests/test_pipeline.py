@@ -6,10 +6,10 @@ from duxwb.core import DualExposurePair, RawImage
 from duxwb.def_feature import COLOR_REPRS, MAPPINGS, DefConfig, compute_def, def_rows
 from duxwb.eccc import VARIANTS, hists_for_pair
 from duxwb.errors import DataError, EmptyHistogramError
-from duxwb.pipeline import PairChunk, build_feature_set, split_chunks
-from duxwb.synth import DatasetManifest, SceneSpec, generate_dataset, load_pair, render_pair, write_tensor
+from duxwb.pipeline import PairChunk, build_feature_set, split_chunks, split_predictor
+from duxwb.synth import SceneSpec, generate_dataset, load_pair, render_pair, write_tensor
 
-from conftest import reference_histogram
+from conftest import BAD_FRAMES, break_frame, reference_histogram
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_chunk_pairs_cover_the_edge_cases():
 def test_chunk_defs_match_compute_def_bitwise(color_repr, mapping, include_covariance):
     cfg = DefConfig(color_repr=color_repr, mapping=mapping, include_covariance=include_covariance)
     pairs = _chunk_pairs()
-    chunk = PairChunk([f"s{i}" for i in range(len(pairs))], pairs)
+    chunk = PairChunk.from_pairs([f"s{i}" for i in range(len(pairs))], pairs)
     longs = np.stack([p.long.as_matrix() for p in pairs])
     shorts = np.stack([p.short.as_matrix() for p in pairs])
     values, degenerate = def_rows(longs, shorts, cfg)
@@ -109,7 +109,7 @@ def test_chunk_hists_match_hists_for_pair_bitwise(variant, bins):
     """A chunk and each pair alone give the bits of a test-local oracle: the
     masked formula per frame, stacked and normalised per grid."""
     pairs = _chunk_pairs()
-    chunk = PairChunk([f"s{i}" for i in range(len(pairs))], pairs)
+    chunk = PairChunk.from_pairs([f"s{i}" for i in range(len(pairs))], pairs)
     expected = np.stack([_reference_hists(p, variant, bins) for p in pairs])
     assert chunk.hists(variant, bins).tobytes() == expected.tobytes()
     assert np.stack([hists_for_pair(p, variant, bins) for p in pairs]).tobytes() == expected.tobytes()
@@ -154,30 +154,11 @@ def test_augmented_features_do_not_depend_on_the_chunk_size(dataset, monkeypatch
             assert getattr(fs, key).tobytes() == getattr(runs[0], key).tobytes()
 
 
-@pytest.fixture(scope="module")
-def mixed_dataset(tmp_path_factory):
-    """One manifest whose train scenes alternate runs of 32x24 and 16x16 frames."""
-    root = tmp_path_factory.mktemp("mixed")
-    parts = {}
-    for name, (w, h) in {"a": (32, 24), "b": (16, 16)}.items():
-        m = generate_dataset(str(root / name), 5, e_list=(8,), seed=len(name) + w, spec=SceneSpec(width=w, height=h),
-                             splits=(5, 0, 0))
-        for entry in m.scenes:
-            entry.scene_id = f"{name}-{entry.scene_id}"
-            entry.files = {k: f"{name}/{v}" for k, v in entry.files.items()}
-        parts[name] = m
-    a, b = parts["a"].scenes, parts["b"].scenes
-    manifest = DatasetManifest(seed=0, width=32, height=24, e_list=[8], scenes=a[:2] + b[:3] + a[2:] + b[3:])
-    manifest.save(str(root))
-    return str(root), manifest
-
-
 def test_a_new_chunk_starts_when_the_frame_size_changes(mixed_dataset, monkeypatch):
     root, manifest = mixed_dataset
     monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 1 << 16)
-    sizes = [[p.long.data.shape for p in chunk.pairs] for chunk in split_chunks(root, manifest, "train", 8)]
-    assert [len(s) for s in sizes] == [2, 3, 3, 2]
-    assert all(len(set(s)) == 1 for s in sizes)
+    shapes = [chunk.longs.shape for chunk in split_chunks(root, manifest, "train", 8)]
+    assert shapes == [(2, 3, 24, 32), (3, 3, 16, 16), (3, 3, 24, 32), (2, 3, 16, 16)]
     fs = build_feature_set(root, manifest, "train", 8, with_hists=True, variant="avg")
     defs, hists, gts = _per_pair_features(root, manifest, "train", 8, "avg")
     assert fs.scene_ids == [entry.scene_id for entry in manifest.scenes]
@@ -208,4 +189,59 @@ def test_empty_histograms_name_every_scene_that_holds_one():
     for i in (0, 3):
         pairs[i] = DualExposurePair(long=zero if i else pairs[i].long, short=zero, exposure_factor=8.0)
     with pytest.raises(EmptyHistogramError, match="^histogram holds no mass for scenes: s0, s3$"):
-        PairChunk([f"s{i}" for i in range(len(pairs))], pairs).hists("both", 64)
+        PairChunk.from_pairs([f"s{i}" for i in range(len(pairs))], pairs).hists("both", 64)
+
+
+# ============================================================
+# Stacked loading: error paths and the prediction rows' order
+# ============================================================
+
+@pytest.mark.parametrize("how", BAD_FRAMES)
+def test_loader_names_the_broken_file_or_scene_mid_chunk(tmp_path, monkeypatch, how):
+    """The third of five pairs, which all fit in one chunk, is broken; the
+    loader raises DataError naming its file (its scene, for two frame sizes)
+    before the chunk is formed."""
+    root = str(tmp_path / "d")
+    manifest = generate_dataset(root, 5, e_list=(8,), seed=1, spec=SceneSpec(width=32, height=24),
+                                splits=(5, 0, 0))
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 100 * 32 * 24)
+    named = break_frame(root, manifest.scenes[2], how)
+    with pytest.raises(DataError) as info:
+        list(split_chunks(root, manifest, "train", 8))
+    assert named in str(info.value)
+
+
+def test_loaded_chunks_hold_the_pairs_of_load_pair(dataset, monkeypatch):
+    root, manifest = dataset
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 4 * 32 * 24)
+    chunks = list(split_chunks(root, manifest, "train", 8))
+    pairs = [load_pair(root, entry, 8) for entry in manifest.scenes_for("train")]
+    assert [len(c) for c in chunks] == [4, 4, 2]
+    assert [i for c in chunks for i in c.ids] == [entry.scene_id for entry in manifest.scenes_for("train")]
+    for key, got in (("long", [c.longs for c in chunks]), ("short", [c.shorts for c in chunks])):
+        want = np.stack([getattr(p, key).data for p in pairs])
+        assert np.concatenate(got).dtype == np.float64 and np.concatenate(got).tobytes() == want.tobytes()
+    gts = np.stack([p.ground_truth.as_array() for p in pairs])
+    assert np.concatenate([c.gts for c in chunks]).tobytes() == gts.tobytes()
+
+
+def test_split_predictor_matches_rows_to_scenes_by_id(dataset, monkeypatch):
+    root, manifest = dataset
+    monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 3 * 32 * 24)
+    scenes = manifest.scenes_for("train")
+
+    def rows(chunk):  # each row encodes its scene's position
+        return np.array([[1.0, 1.0, 1.0 + int(i[1:])] for i in chunk.ids])
+
+    predict = split_predictor(root, manifest, "train", 8, rows)
+    for entry in scenes:
+        assert predict(entry)[2] == 1.0 + int(entry.scene_id[1:])
+    with pytest.raises(DataError, match=f"asked to predict scene {scenes[0].scene_id}, but .* no scene"):
+        predict(scenes[0])
+
+    predict = split_predictor(root, manifest, "train", 8, rows)
+    predict(scenes[0])
+    with pytest.raises(DataError, match=f"scene {scenes[2].scene_id}, but the next prediction is for "
+                                        f"scene {scenes[1].scene_id}"):
+        predict(scenes[2])
+

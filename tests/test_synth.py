@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from duxwb.core import angular_error
 from duxwb.def_feature import DefConfig, compute_def
@@ -222,6 +223,47 @@ def test_tensor_short_read_raises(tmp_path, monkeypatch):
         read_tensor(path)
 
 
+_HEADER_TOKENS = st.sampled_from([b"0", b"2", b"3", b"16", b"-1", b"+2", b"x", b" ", b"\t", b"\n", b"f32", b"f64",
+                                   b"le", b"be", b"\xff", b"\x00", b"9" * 25])
+def _near_valid(h, w, spot, bad, sep, end):
+    """A valid header line for h x w, with field `spot` (if any) replaced."""
+    fields = [h, w, b"3", b"f32", b"le"]
+    if spot is not None:
+        fields[spot] = bad
+    return sep.join(fields) + end
+
+
+_NEAR_VALID = st.builds(_near_valid, st.sampled_from([b"1", b"2", b"02"]), st.sampled_from([b"1", b"2"]),
+                        st.one_of(st.none(), st.integers(0, 4)),
+                        st.sampled_from([b"0", b"-1", b"x", b"4", b"f64", b"be", b"9" * 25, b"1 1"]),
+                        st.sampled_from([b" ", b"\t"]), st.sampled_from([b"\n", b"\n", b" \n", b""]))
+_HEADERS = st.one_of(st.binary(max_size=48), st.lists(_HEADER_TOKENS, max_size=12).map(b"".join), _NEAR_VALID)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(magic=st.sampled_from([b"DXT1", b"DXT1", b"DXT1", b"DXT0", b"DX"]), header=_HEADERS,
+       payload=st.one_of(st.integers(0, 60), st.sampled_from([12, 24, 48])))  # the sizes of 1x1, 1x2 and 2x2
+def test_malformed_headers_raise_data_error_and_nothing_else(tmp_path, magic, header, payload):
+    """Fuzzed magics, header lines and payload sizes: read_tensor either
+    reads a (3, h, w) frame whose header line names its size and whose
+    payload is exactly that size, or raises DataError."""
+    path = tmp_path / "fuzz.dxt"
+    blob = magic + header + b"\x01" * payload
+    path.write_bytes(blob)
+    try:
+        data = read_tensor(str(path))
+    except DataError:
+        return
+    line = blob[4:blob.index(b"\n") + 1]
+    assert magic == b"DXT1" and data.shape == (3, int(line.split()[0]), int(line.split()[1]))
+    assert len(blob) == 4 + len(line) + data.nbytes
+
+
+def test_missing_tensor_file_raises_data_error(tmp_path):
+    with pytest.raises(DataError, match="none.dxt: cannot open tensor file"):
+        read_tensor(str(tmp_path / "none.dxt"))
+
+
 def test_load_pair_frames_are_the_stored_values_as_float64(tmp_path):
     manifest = generate_dataset(str(tmp_path), n_scenes=1, e_list=(8,), seed=0, spec=SMALL)
     entry = manifest.scenes[0]
@@ -247,6 +289,24 @@ def test_split_counts_explicit():
     assert split_counts(10, (6, 2, 2)) == (6, 2, 2)
     with pytest.raises(DomainError):
         split_counts(10, (9, 2, 2))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("width", 0), ("height", -4), ("width", 2.0), ("width", True), ("patch_count", 0), ("bit_depth", 0),
+    ("albedo_lo", -0.1), ("albedo_lo", 0.99), ("albedo_shape", 0.0), ("shading_range_lo", 0.0),
+    ("shading_range_lo", 200.0), ("exposure_target", 0.0), ("sigma_read", -1e-3), ("sigma_shot", float("nan")),
+    ("lobe_sigma", -0.1), ("chroma_jitter", float("inf")), ("locus_u_lin", float("nan")), ("lobe_offset", "0.5"),
+])
+def test_scene_spec_checks_its_fields(field, value):
+    with pytest.raises(DomainError, match=f"SceneSpec.{field} must"):
+        SceneSpec(**{field: value})
+
+
+def test_bad_scene_spec_makes_no_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(DomainError, match="SceneSpec.width must be a positive integer, got 0"):
+        generate_dataset(str(out), 2, e_list=(8,), spec=SceneSpec(width=0, height=4))
+    assert not out.exists()
 
 
 def test_generate_dataset_round_trip(tmp_path):
