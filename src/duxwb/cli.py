@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -70,13 +71,30 @@ def _exposure_list(text: str) -> list:
     return [_exposure(v) for v in text.split(",")]
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """An argument type for integers of at least low."""
+    what = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer of at least {low}")
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _learning_rate(text: str) -> float:
+    """A finite, nonnegative learning rate; 0 stands for the model default."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = -1.0
+    if not 0.0 <= value < math.inf:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"learning rate must be finite and nonnegative, got {text!r}")
     return value
 
 
@@ -199,12 +217,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _evaluate(args, manifest, predict, label: str, e) -> int:
-    """Report predict on args.split. The frames it reads (the auto frame when
-    e is None, else the pair at e) are checked for every scene first."""
+    """Report predict on args.split; nothing is written unless every scene
+    was scored."""
     from .evaluation import evaluate_scenes, results_csv_rows
 
-    keys = ["auto"] if e is None else [f"long_{e}", f"short_{e}"]
-    _check_split_files(args.data, manifest, args.split, keys)
     report, results = evaluate_scenes(predict, manifest, args.data, args.split)
     payload = report.to_dict(model=label, split=args.split, e=e)
     with open(args.out_report, "w") as fh:
@@ -215,20 +231,6 @@ def _evaluate(args, manifest, predict, label: str, e) -> int:
             csv.writer(fh).writerows(results_csv_rows(results))
     print(json.dumps(payload))
     return 0
-
-
-def _check_split_files(root, manifest, split, keys) -> None:
-    from .errors import DataError
-
-    missing = []
-    for entry in manifest.scenes_for(split):
-        for key in keys:
-            rel = entry.files.get(key)
-            if rel is None or not os.path.isfile(os.path.join(root, rel)):
-                missing.append(entry.scene_id)
-                break
-    if missing:
-        raise DataError(f"missing {keys} frames for scenes: {', '.join(missing)}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -289,7 +291,7 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # numpy-backed modules; main() caps the thread pools before this runs
-    from .eccc import VARIANTS
+    from .eccc import UPSAMPLE_FACTOR, VARIANTS
     from .evaluation import BASELINES
     from .synth import SceneSpec
     from .training import MODEL_DEFAULTS, TrainConfig
@@ -306,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="render a labeled synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--scenes", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--e-list", type=_exposure_list, default="2,4,8", help="comma-separated exposure factors, each >= 2")
-    p.add_argument("--width", type=_positive_int, default=scene_defaults.width)
-    p.add_argument("--height", type=_positive_int, default=scene_defaults.height)
+    p.add_argument("--width", type=_int_at_least(1), default=scene_defaults.width)
+    p.add_argument("--height", type=_int_at_least(1), default=scene_defaults.height)
     p.add_argument("--small", action="store_true", help="48x32 frames")
     p.add_argument("--splits", type=_split_counts, default=None,
                    help="train,val,test counts summing to --scenes (default: 387:83:86 ratio)")
@@ -329,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=["emlp", "eccc"])
     p.add_argument("--out", required=True)
     p.add_argument("--e", type=_exposure, default=8)
-    p.add_argument("--epochs", type=int, default=0, help=model_default("epochs"))
-    p.add_argument("--lr", type=float, default=0.0, help=model_default("lr"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_int_at_least(0), default=0, help=model_default("epochs"))
+    p.add_argument("--lr", type=_learning_rate, default=0.0, help=model_default("lr"))
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--augment", action="store_true")
-    p.add_argument("--n", type=int, default=train_defaults.n_biases, help="bias bank size (eccc)")
-    p.add_argument("--hist-bins", type=int, default=train_defaults.hist_bins)
+    p.add_argument("--n", type=_int_at_least(1), default=train_defaults.n_biases, help="bias bank size (eccc)")
+    p.add_argument("--hist-bins", type=_int_at_least(UPSAMPLE_FACTOR), default=train_defaults.hist_bins)
     p.add_argument("--hist-input", default=train_defaults.variant, choices=VARIANTS)
     p.add_argument("--no-def", action="store_true", help="eccc variant without the feature path")
     p.add_argument("--no-bias-init", action="store_true")

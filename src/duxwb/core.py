@@ -198,19 +198,20 @@ def chromaticity_matrix(m: np.ndarray, eps: float) -> np.ndarray:
 # Small dense linear algebra
 # ============================================================
 
-class PinvResult(NamedTuple):
-    matrix: np.ndarray  # (..., 3, 3) least-squares maps
-    rank: np.ndarray    # (...) numerical rank of each source
-    degenerate: np.ndarray  # (...) rank < 3: the minimum-norm solution was used
+class MapFit(NamedTuple):
+    """A stack of fitted colour maps, the result of every DEF mapping fit."""
+
+    matrix: np.ndarray      # (..., 3, m) maps
+    degenerate: np.ndarray  # (...) the fit had no unique solution
 
 
-def pinv_map(source: np.ndarray, target: np.ndarray) -> PinvResult:
+def pinv_map(source: np.ndarray, target: np.ndarray) -> MapFit:
     """Best 3x3 map C minimizing ||C @ source - target||_F via the pseudoinverse,
     for a 3 x k source and target or for (..., 3, k) stacks of them.
 
     Singular values of the source below RANK_TOL * sigma_max are truncated,
     which yields the minimum-norm solution on rank-deficient data instead of
-    an error; the deficiency is reported in the result.
+    an error; such a fit is flagged degenerate.
 
     The SVD factors come from the eigendecomposition of the 3x3 Gram matrix
     (U = eigenvectors, sigma^2 = eigenvalues), so the cost stays O(k) with a
@@ -232,8 +233,7 @@ def pinv_map(source: np.ndarray, target: np.ndarray) -> PinvResult:
     inv_lam = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
     # C = target @ pinv(source) = (target S^T) U diag(1/sigma^2) U^T
     c = (cross @ u) * inv_lam[..., np.newaxis, :] @ u.mT
-    rank = keep.sum(axis=-1)
-    return PinvResult(matrix=c, rank=rank, degenerate=rank < 3)
+    return MapFit(matrix=c, degenerate=~keep.all(axis=-1))
 
 
 def covariance_triu(x: np.ndarray) -> np.ndarray:

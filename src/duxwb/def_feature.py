@@ -6,17 +6,20 @@ matrix between the two frames (9) plus the unique entries of the covariance of
 the per-pixel short/long ratio image (6). Ablation variants swap the mapping
 family (affine 3x4, homography on rg-chroma) or the color representation, and
 may drop the covariance block.
+
+Each mapping family is one fit over (N, 3, k) stacks of source and target
+rows that returns a core.MapFit; def_rows runs the configured fit once per
+frame stack, and a stacked fit gives each pair the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import DualExposurePair, chromaticity_matrix, covariance_triu, pinv_map
+from .core import DualExposurePair, MapFit, chromaticity_matrix, covariance_triu, pinv_map, row_norms
 from .errors import DomainError
 
 COLOR_REPRS = ("rgb", "rg_chroma", "rgb_chroma")
@@ -69,19 +72,6 @@ class DefVector:
         return self.values.shape[0]
 
 
-class AffineResult(NamedTuple):
-    matrix: np.ndarray      # 3x4: [alpha * R | T]
-    rotation: np.ndarray    # 3x3 orthogonal factor
-    alpha: float
-    translation: np.ndarray
-    degenerate: bool
-
-
-class HomographyResult(NamedTuple):
-    matrix: np.ndarray      # 3x3, normalized so H[2,2] = 1 when possible
-    degenerate: bool
-
-
 # ============================================================
 # Building blocks
 # ============================================================
@@ -116,105 +106,87 @@ def _rg1_rows(frames: np.ndarray, cfg: DefConfig) -> np.ndarray:
     return np.stack([ch[:, 0], ch[:, 1], np.ones_like(ch[:, 0])], axis=1)
 
 
-def affine_map(source_chroma: np.ndarray, target_chroma: np.ndarray) -> AffineResult:
-    """Procrustes-style similarity fit: scale, rotation, and centroid translation.
+def affine_map(source: np.ndarray, target: np.ndarray) -> MapFit:
+    """Procrustes-style similarity fit of each pair of (N, 3, k) stacks: scale,
+    rotation, and centroid translation.
 
-    Maps source points onto target points as x -> alpha * R @ x + T. The
-    constant last row of the full 4x4 form is dropped, leaving a 3x4 matrix.
+    Maps source points onto target points as x -> alpha * R @ x + T, returned
+    as the (N, 3, 4) matrices [alpha * R | T] (the constant last row of the
+    full 4x4 form is dropped). A pair whose centred source or target has
+    vanishing norm is degenerate and gets [I | 0].
     """
-    src = np.asarray(source_chroma, dtype=np.float64)
-    tgt = np.asarray(target_chroma, dtype=np.float64)
-    if src.shape != tgt.shape or src.ndim != 2 or src.shape[0] != 3:
-        raise DomainError("affine_map expects matching 3 x k matrices")
-    if src.shape[1] < 4:
-        raise DomainError("affine_map requires k >= 4 points")
-    cs = src.mean(axis=1)
-    ct = tgt.mean(axis=1)
-    src_c = src - cs[:, np.newaxis]
-    tgt_c = tgt - ct[:, np.newaxis]
-    norm_s = np.linalg.norm(src_c)
-    norm_t = np.linalg.norm(tgt_c)
-    if norm_s < 1e-12 or norm_t < 1e-12:
-        rot = np.eye(3)
-        matrix = np.hstack([rot, np.zeros((3, 1))])
-        return AffineResult(matrix, rot, 1.0, np.zeros(3), True)
-    alpha = float(norm_t / norm_s)
-    u, _, vt = np.linalg.svd(tgt_c @ src_c.T)
+    cs = source.mean(axis=-1, keepdims=True)
+    ct = target.mean(axis=-1, keepdims=True)
+    src_c = source - cs
+    tgt_c = target - ct
+    # each pair's Frobenius norms, with the bits of np.linalg.norm on the pair
+    norm_s, norm_t = row_norms(src_c.reshape(len(src_c), -1)), row_norms(tgt_c.reshape(len(tgt_c), -1))
+    degenerate = (norm_s < 1e-12) | (norm_t < 1e-12)
+    alpha = (norm_t / np.where(degenerate, 1.0, norm_s))[:, np.newaxis, np.newaxis]
+    u, _, vt = np.linalg.svd(tgt_c @ src_c.mT)
     rot = u @ vt
-    translation = ct - alpha * (rot @ cs)
-    matrix = np.hstack([alpha * rot, translation[:, np.newaxis]])
-    return AffineResult(matrix, rot, alpha, translation, False)
+    matrix = np.concatenate([alpha * rot, ct - alpha * (rot @ cs)], axis=-1)
+    matrix[degenerate] = np.eye(3, 4)
+    return MapFit(matrix, degenerate)
 
 
-def homography_map(source_rg1: np.ndarray, target_rg1: np.ndarray) -> HomographyResult:
-    """DLT homography between (r, g, 1) chroma rows, normalized so H[2,2] = 1."""
-    src = np.asarray(source_rg1, dtype=np.float64)
-    tgt = np.asarray(target_rg1, dtype=np.float64)
-    if src.shape != tgt.shape or src.ndim != 2 or src.shape[0] != 3:
-        raise DomainError("homography_map expects matching 3 x k matrices")
-    k = src.shape[1]
-    if k < 4:
-        raise DomainError("homography_map requires k >= 4 points")
-    x, y = src[0], src[1]
-    xp, yp = tgt[0], tgt[1]
-    ones = np.ones(k)
-    zeros = np.zeros(k)
-    rows_a = np.stack([x, y, ones, zeros, zeros, zeros, -xp * x, -xp * y, -xp], axis=1)
-    rows_b = np.stack([zeros, zeros, zeros, x, y, ones, -yp * x, -yp * y, -yp], axis=1)
-    a = np.concatenate([rows_a, rows_b], axis=0)
-    # Smallest eigenvector of A^T A is the algebraic least-squares solution.
-    ata = a.T @ a
-    w, v = np.linalg.eigh(ata)
-    h = v[:, 0]
-    degenerate = False
-    if w.size > 1:
-        scale = max(w[-1], 1e-300)
-        if w[1] / scale < 1e-12:
-            degenerate = True  # null space wider than 1: solution not unique
-    hm = h.reshape(3, 3)
-    if abs(hm[2, 2]) > 1e-12 * np.max(np.abs(hm)):
-        hm = hm / hm[2, 2]
-    else:
-        degenerate = True
-        hm = hm / np.max(np.abs(hm))
-    return HomographyResult(hm, degenerate)
+def homography_map(source: np.ndarray, target: np.ndarray) -> MapFit:
+    """DLT homography between the (r, g, 1) chroma rows of each pair of
+    (N, 3, k) stacks, as (N, 3, 3) matrices normalized so H[2,2] = 1."""
+    n, _, k = source.shape
+    # the DLT system's transpose: for each point, a column [x y 1 0 0 0
+    # -x'x -x'y -x'] and a column [0 0 0 x y 1 -y'x -y'y -y']; kept as
+    # (N, 9, 2k) rows, its Gram matrix is one product per pair
+    b = np.zeros((n, 9, 2 * k))
+    b[:, 0:3, :k] = source
+    b[:, 3:6, k:] = source
+    np.multiply(np.concatenate([source, source], axis=-1),
+                -np.concatenate([target[:, 0:1], target[:, 1:2]], axis=-1), out=b[:, 6:9])
+    # smallest eigenvector of A^T A is the algebraic least-squares solution
+    w, v = np.linalg.eigh(b @ b.mT)
+    # null space wider than 1: solution not unique
+    degenerate = w[:, 1] / np.maximum(w[:, -1], 1e-300) < 1e-12
+    hm = v[:, :, 0].reshape(n, 3, 3)
+    corner = hm[:, 2, 2]
+    peak = np.abs(hm).max(axis=(1, 2))
+    normal = np.abs(corner) > 1e-12 * peak
+    return MapFit(hm / np.where(normal, corner, peak)[:, np.newaxis, np.newaxis], degenerate | ~normal)
 
 
 # ============================================================
 # Feature assembly
 # ============================================================
 
+# each mapping's fit and the rows it fits: the homography always works on
+# (r, g, 1) chroma rows, the others on the configured color representation
+_FITS = {
+    "linear3x3": (pinv_map, _represent),
+    "affine3x4": (affine_map, _represent),
+    "homography3x3": (homography_map, _rg1_rows),
+}
+
+
 def def_rows(longs: np.ndarray, shorts: np.ndarray, cfg: DefConfig | None = None) -> tuple:
     """The dual-exposure features of a chunk of aligned pairs: longs and
     shorts are (N, 3, k) frame stacks. Returns the (N, d) features and the
     (N,) degeneracy flags of the mapping fits.
 
-    Every row has the bits compute_def gives its pair alone. The linear map
-    and the covariance run once for the whole stack; the affine and
-    homography fits go one pair at a time.
+    The map fit and the covariance each run once for the whole stack, and
+    every row has the bits compute_def gives its pair alone.
     """
     cfg = cfg or DefConfig()
     if longs.shape[-1] < 16:
         raise DomainError("compute_def requires at least 16 pixels")
 
     # the map carries the short frame onto the long one
-    if cfg.mapping == "linear3x3":
-        fit = pinv_map(_represent(shorts, cfg), _represent(longs, cfg))
-        entries, degenerate = fit.matrix.reshape(len(longs), -1), fit.degenerate
-    else:
-        if cfg.mapping == "homography3x3":  # always works on (r, g, 1) chroma rows
-            src, tgt, fit_one = _rg1_rows(shorts, cfg), _rg1_rows(longs, cfg), homography_map
-        else:
-            src, tgt, fit_one = _represent(shorts, cfg), _represent(longs, cfg), affine_map
-        fits = [fit_one(s, t) for s, t in zip(src, tgt)]
-        entries = np.stack([f.matrix.reshape(-1) for f in fits])
-        degenerate = np.array([f.degenerate for f in fits])
-
+    fit_map, rows = _FITS[cfg.mapping]
+    fit = fit_map(rows(shorts, cfg), rows(longs, cfg))
+    entries = fit.matrix.reshape(len(longs), -1)
     if cfg.include_covariance:
         entries = np.concatenate([entries, covariance_triu(ratio_image(longs, shorts, cfg.eps_ratio))], axis=1)
     if not np.isfinite(entries).all():
         raise DomainError("feature vector contains non-finite values")
-    return entries, degenerate
+    return entries, fit.degenerate
 
 
 def compute_def(pair: DualExposurePair, cfg: DefConfig | None = None) -> DefVector:

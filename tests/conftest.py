@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -99,8 +101,8 @@ def mixed_dataset(tmp_path_factory):
 
 # Ways a stored pair can be broken, each for the loader to report by name:
 # a NaN, an infinite or a negative pixel in one frame, frames of two sizes,
-# and a payload cut short.
-BAD_FRAMES = ("nan", "inf", "negative", "sizes", "truncated")
+# a payload cut short, and a deleted short frame.
+BAD_FRAMES = ("nan", "inf", "negative", "sizes", "truncated", "missing")
 
 
 def break_frame(root: str, entry, how: str, e: int = 8) -> str:
@@ -111,6 +113,9 @@ def break_frame(root: str, entry, how: str, e: int = 8) -> str:
         with open(long_path, "rb+") as fh:
             fh.truncate(fh.seek(0, 2) - 10)
         return long_path
+    if how == "missing":
+        os.remove(short_path)
+        return short_path
     if how == "sizes":
         write_tensor(short_path, np.full((3, 4, 4), 0.5))
         return f"scene {entry.scene_id}"

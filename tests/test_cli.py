@@ -161,7 +161,7 @@ def test_ensemble_eval_checks_the_split_before_it_reports(dataset, tmp_path, cap
     out = str(tmp_path / "ens")
     assert _ensemble_eval(a, b, data, out) == 1
     err = capsys.readouterr().err
-    assert "missing ['long_8', 'short_8'] frames" in err and entry["scene_id"] in err
+    assert os.path.join(data, entry["files"]["short_8"]) in err
     assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
 
 
@@ -302,6 +302,39 @@ def test_bad_gen_data_size_is_a_usage_error(tmp_path, capsys, flags, message):
     err = capsys.readouterr().err
     assert err.startswith("usage: duxwb gen-data") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--epochs", "-3"], "must be a nonnegative integer"),
+    (["train", "--lr", "-0.01"], "learning rate must be finite and nonnegative"),
+    (["train", "--lr", "nan"], "learning rate must be finite and nonnegative"),
+    (["train", "--lr", "inf"], "learning rate must be finite and nonnegative"),
+    (["train", "--n", "0"], "must be a positive integer"),
+    (["train", "--hist-bins", "2"], "must be an integer of at least 4"),
+    (["train", "--seed", "-1"], "must be a nonnegative integer"),
+    (["gen-data", "--seed", "-1"], "must be a nonnegative integer"),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
+def test_bad_training_number_is_a_usage_error(tmp_path, capsys, argv, message):
+    """Exit 2 with the usage line at parse time: no data is read and --out is
+    not made."""
+    out = tmp_path / "out"
+    paths = {"train": ["--data", str(tmp_path / "none"), "--model", "emlp"], "gen-data": ["--scenes", "2"]}[argv[0]]
+    with pytest.raises(SystemExit) as info:
+        run_cli(argv + paths + ["--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: duxwb " + argv[0]) and message in err
+    assert not out.exists()
+
+
+def test_training_numbers_at_their_bounds_parse():
+    """0 epochs and learning rate 0 stand for the model defaults; the smallest
+    bias bank, histogram and seed are accepted."""
+    from duxwb.cli import build_parser
+
+    args = build_parser().parse_args(["train", "--data", "d", "--model", "eccc", "--out", "m", "--epochs", "0",
+                                      "--lr", "0", "--n", "1", "--hist-bins", "4", "--seed", "0"])
+    assert (args.epochs, args.lr, args.n, args.hist_bins, args.seed) == (0, 0.0, 1, 4, 0)
 
 
 def test_gen_data_splits_off_the_scene_count_make_no_directory(tmp_path, capsys):

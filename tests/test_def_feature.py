@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duxwb.core import DualExposurePair, Illuminant, RawImage
 from duxwb.def_feature import (
+    COLOR_REPRS,
+    MAPPINGS,
     DefConfig,
     DefVector,
     affine_map,
     compute_def,
+    def_rows,
     homography_map,
     ratio_image,
 )
 from duxwb.errors import DomainError
+from duxwb.synth import SceneSpec, render_pair
 
 from conftest import covariance_block, mapping_block, random_image, scaled_pair
 
@@ -169,15 +174,23 @@ def test_covariance_block_reconstruction(rng):
 
 
 # ============================================================
-# affine_map
+# affine_map, on stacks of one
 # ============================================================
+
+def _affine(src, tgt):
+    """affine_map of one pair: alpha, R and T read from [alpha R | T] (the
+    columns of alpha R have norm alpha)."""
+    m = affine_map(src[np.newaxis], tgt[np.newaxis]).matrix[0]
+    alpha = np.linalg.norm(m[:, :3]) / np.sqrt(3.0)
+    return alpha, m[:, :3] / alpha, m[:, 3]
+
 
 def test_affine_identity(rng):
     pts = rng.standard_normal((3, 40))
-    res = affine_map(pts, pts)
-    assert np.allclose(res.rotation, np.eye(3), atol=1e-8)
-    assert res.alpha == pytest.approx(1.0, abs=1e-12)
-    mapped = res.alpha * res.rotation @ pts + res.translation[:, None]
+    alpha, rot, translation = _affine(pts, pts)
+    assert np.allclose(rot, np.eye(3), atol=1e-8)
+    assert alpha == pytest.approx(1.0, abs=1e-12)
+    mapped = alpha * rot @ pts + translation[:, None]
     assert np.allclose(mapped, pts, atol=1e-9)
 
 
@@ -194,30 +207,33 @@ def test_affine_recovers_rotation(rng):
         q0 = _random_rotation(rng)
         centroid = src.mean(axis=1, keepdims=True)
         tgt = q0 @ (src - centroid) + centroid
-        res = affine_map(src, tgt)
-        assert np.abs(res.rotation - q0).max() < 1e-6
+        _, rot, _ = _affine(src, tgt)
+        assert np.abs(rot - q0).max() < 1e-6
 
 
 def test_affine_recovers_scale(rng):
     src = rng.standard_normal((3, 50))
     c = src.mean(axis=1, keepdims=True)
     tgt = 2.0 * (src - c) + c
-    res = affine_map(src, tgt)
-    assert res.alpha == pytest.approx(2.0, abs=1e-9)
+    alpha, _, _ = _affine(src, tgt)
+    assert alpha == pytest.approx(2.0, abs=1e-9)
 
 
 def test_affine_degenerate_coincident_points():
     pts = np.tile(np.array([[0.3], [0.4], [0.3]]), (1, 10))
-    res = affine_map(pts, pts)
-    assert res.degenerate
-    assert np.allclose(res.rotation, np.eye(3))
-    assert res.alpha == 1.0
-    assert np.all(res.translation == 0.0)
+    fit = affine_map(pts[np.newaxis], pts[np.newaxis])
+    assert fit.degenerate.tolist() == [True]
+    assert np.all(fit.matrix[0] == np.eye(3, 4))  # alpha 1, R = I, T = 0
 
 
 # ============================================================
-# homography_map
+# homography_map, on stacks of one
 # ============================================================
+
+def _homography(src, tgt):
+    fit = homography_map(src[np.newaxis], tgt[np.newaxis])
+    return fit.matrix[0], bool(fit.degenerate[0])
+
 
 def _apply_homography(h, pts_rg1):
     """Map (r, g, 1) rows through a homography with perspective division."""
@@ -232,16 +248,16 @@ def _rg1(rng, k):
 
 def test_homography_identity(rng):
     pts = _rg1(rng, 30)
-    res = homography_map(pts, pts)
-    assert np.abs(res.matrix - np.eye(3)).max() < 1e-8
+    matrix, _ = _homography(pts, pts)
+    assert np.abs(matrix - np.eye(3)).max() < 1e-8
 
 
 def test_homography_recovers_affine_map(rng):
     pts = _rg1(rng, 40)
     a = np.array([[1.2, 0.1, 0.05], [-0.2, 0.9, 0.02], [0.0, 0.0, 1.0]])
     tgt = a @ pts
-    res = homography_map(pts, tgt)
-    assert np.abs(res.matrix - a / a[2, 2]).max() < 1e-6
+    matrix, _ = _homography(pts, tgt)
+    assert np.abs(matrix - a / a[2, 2]).max() < 1e-6
 
 
 def test_homography_recovers_projective_map(rng):
@@ -250,24 +266,66 @@ def test_homography_recovers_projective_map(rng):
         h_true /= h_true[2, 2]
         src = _rg1(rng, 25)
         tgt = _apply_homography(h_true, src)
-        res = homography_map(src, np.vstack([tgt[0], tgt[1], np.ones(src.shape[1])]))
-        assert np.abs(res.matrix - h_true).max() < 1e-6
+        matrix, _ = _homography(src, np.vstack([tgt[0], tgt[1], np.ones(src.shape[1])]))
+        assert np.abs(matrix - h_true).max() < 1e-6
 
 
 def test_homography_exact_four_points(rng):
     h_true = np.array([[1.1, 0.05, 0.01], [0.03, 0.95, -0.02], [0.2, -0.1, 1.0]])
     src = _rg1(rng, 4)
     tgt = _apply_homography(h_true, src)
-    res = homography_map(src, tgt)
-    assert np.abs(res.matrix - h_true).max() < 1e-6
+    matrix, _ = _homography(src, tgt)
+    assert np.abs(matrix - h_true).max() < 1e-6
 
 
 def test_homography_degenerate_flagged(rng):
     # all points identical: DLT system is rank deficient
     col = np.array([[0.3], [0.5], [1.0]])
     pts = np.tile(col, (1, 10))
-    res = homography_map(pts, pts)
-    assert res.degenerate
+    _, degenerate = _homography(pts, pts)
+    assert degenerate
+
+
+# ============================================================
+# def_rows: each row of a stack is its pair alone
+# ============================================================
+
+_PAIR_KINDS = ("rendered", "invalid", "gray", "constant")
+
+
+def _stack_pair(kind: str, h: int, w: int, seed: int) -> tuple:
+    """The (3, h*w) long and short frames of one pair of the given kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        long, short = (np.full((3, h * w), v) for v in rng.uniform(0.0, 1.0, 2))
+        return long, short
+    pair = render_pair(SceneSpec(width=w, height=h), 8.0, seed)
+    long, short = pair.long.as_matrix().copy(), pair.short.as_matrix().copy()
+    if kind == "invalid":  # zeroed channels and pixels, in one frame or both
+        for frame in (long, short)[rng.integers(0, 2):]:
+            frame[rng.integers(0, 3, h * w // 3), rng.integers(0, h * w, h * w // 3)] = 0.0
+    elif kind == "gray":  # one channel repeated: a rank-1 source
+        long, short = long[[1, 1, 1]], short[[1, 1, 1]]
+    return long, short
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(_PAIR_KINDS), min_size=1, max_size=5),
+       size=st.sampled_from([(4, 4), (6, 8), (5, 12)]), seed=st.integers(0, 2**16))
+def test_def_rows_gives_each_row_the_bits_of_its_pair_alone(kinds, size, seed):
+    """For every mapping and color representation, each row of a mixed stack
+    (rendered pairs, pairs with invalid pixels, gray rank-deficient pairs,
+    constant frames) has the features and degeneracy flag of a stack of one."""
+    pairs = [_stack_pair(kind, *size, seed + i) for i, kind in enumerate(kinds)]
+    longs, shorts = (np.stack(frames) for frames in zip(*pairs))
+    for mapping in MAPPINGS:
+        for color_repr in COLOR_REPRS:
+            cfg = DefConfig(color_repr=color_repr, mapping=mapping)
+            values, degenerate = def_rows(longs, shorts, cfg)
+            for i in range(len(kinds)):
+                alone, alone_degenerate = def_rows(longs[i:i + 1], shorts[i:i + 1], cfg)
+                assert values[i].tobytes() == alone[0].tobytes(), (mapping, color_repr, kinds[i])
+                assert degenerate[i] == alone_degenerate[0], (mapping, color_repr, kinds[i])
 
 
 def test_def_vector_rejects_nonfinite():
