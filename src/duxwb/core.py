@@ -198,6 +198,17 @@ def chromaticity_matrix(m: np.ndarray, eps: float) -> np.ndarray:
 # Small dense linear algebra
 # ============================================================
 
+def row_products(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m for a (B, d) batch and a (d, k) matrix or (d,) vector, with each
+    row as its own one-row product: row i has the bits of a[i:i+1] @ m in any
+    batch, and a batch of one has the bits of a @ m.
+
+    A (B, d) @ (d, k) product goes to gemm, whose rounding depends on B; the
+    stacked form makes numpy run one gemv (or dot) per row instead.
+    """
+    return (a[:, np.newaxis, :] @ m)[:, 0]
+
+
 class MapFit(NamedTuple):
     """A stack of fitted colour maps, the result of every DEF mapping fit."""
 

@@ -11,8 +11,11 @@ learns a single full-resolution bias instead.
 All learnable state lives in float64 numpy arrays, shaped as tensor_shapes
 lists them; backward passes are analytic and validated against finite
 differences. The forward and backward cores are batch-first: training runs
-them on minibatches, and eccc_forward runs the same forward for prediction
-(one pair is a batch of one).
+them on minibatches, and eccc_forward runs the same forward for prediction.
+With a prepared predictor (prepare_predictor), the prediction case, the
+forward takes its small products row by row (core.row_products), so each row
+of a batch has the bits it gets as a batch of one; without one it takes them
+as one gemm over the batch, as training does.
 
 Precision follows the correlation. The elementwise work on the (B, h, h)
 maps (bias blend, logits, softmax, expectation marginals, dlogits and the
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DualExposurePair, interp_matrix
+from .core import DualExposurePair, interp_matrix, row_products
 from .convops import (
     corr_same_multi_fft,
     fft_flipped,
@@ -44,7 +47,7 @@ from .convops import (
 )
 from .errors import DegenerateOutputError, DomainError
 from .histogram import DEFAULT_BINS, bin_centers, build_histogram, unit_mass
-from .mlp import (MlpParams, angular_loss_unit, init_mlp, mlp_backward, mlp_forward_trace,
+from .mlp import (MlpParams, angular_loss_unit, init_mlp, mlp_backward, mlp_forward, mlp_forward_trace,
                   row_norms, tensor_shapes as mlp_tensor_shapes, unit_rows)
 
 VARIANTS = ("both", "avg", "short", "long")
@@ -243,7 +246,10 @@ def _forward_batch(
 
     hists_fft may carry padded transforms (from convops.fft_image) computed
     once per dataset; the histograms themselves are then not needed. prepared
-    (from prepare_predictor) skips the per-call filter work at inference.
+    (from prepare_predictor) skips the per-call filter work at inference and
+    selects the prediction forward: the weighting network, the bias blend
+    and the expectations take their products row by row, so every row has
+    its batch-of-one bits, and the cache holds no trace for a backward pass.
     """
     h = params.bins
     if hists_fft is None:
@@ -257,10 +263,14 @@ def _forward_batch(
     r = _upsampler(h)
     batch = hists_fft.shape[0]
 
+    # the small products (weighting network, bias blend, expectations):
+    # row by row for prediction, one gemm over the batch for training
     if prepared is not None:
         conv = corr_same_multi_fft(hists_fft, prepared["f_up"], h, f_kernels=prepared["f_kernels"])
+        product = row_products
     else:
         conv = corr_same_multi_fft(hists_fft, r @ params.filters @ r.T, h)
+        product = np.matmul
 
     # the maps from here on stay in the correlation's precision
     dtype = conv.dtype
@@ -271,14 +281,18 @@ def _forward_batch(
         defs = np.atleast_2d(np.asarray(defs, dtype=np.float64))
         if defs.shape[1] != params.mlp.d_in:
             raise DomainError(f"feature length {defs.shape[1]} != expected {params.mlp.d_in}")
-        logits_w, trace = mlp_forward_trace(params.mlp, defs)
+        if prepared is None:
+            logits_w, cache["trace"] = mlp_forward_trace(params.mlp, defs)
+        else:
+            logits_w = mlp_forward(params.mlp, defs)
         logits_w = logits_w - logits_w.max(axis=1, keepdims=True)
         w = np.exp(logits_w)
         w /= w.sum(axis=1, keepdims=True)
-        b_small = np.tensordot(w, params.biases, axes=(1, 0))
+        bank = params.biases
+        b_small = product(w, bank.reshape(len(bank), -1)).reshape((batch,) + bank.shape[1:])
         r_map = _upsampler(h, dtype)
         b_up = r_map @ b_small.astype(dtype, copy=False) @ r_map.T
-        cache.update({"w": w, "trace": trace, "b_small": b_small, "b_up": b_up})
+        cache.update({"w": w, "b_small": b_small, "b_up": b_up})
     else:
         b_up = params.full_bias.astype(dtype, copy=False)
 
@@ -292,8 +306,8 @@ def _forward_batch(
     # expectations from the marginals of p, decoded in double precision
     centers = bin_centers(h)
     c = centers.astype(dtype, copy=False)
-    lu = (p.sum(axis=2) @ c).astype(np.float64)
-    lv = (p.sum(axis=1) @ c).astype(np.float64)
+    lu = product(p.sum(axis=2), c).astype(np.float64)
+    lv = product(p.sum(axis=1), c).astype(np.float64)
     direction = np.stack([np.exp(-lu), np.ones(batch), np.exp(-lv)], axis=1)
     cache.update({"p": p, "lu": lu, "lv": lv, "direction": direction, "centers": centers})
     return cache
@@ -306,7 +320,11 @@ def eccc_forward(
     prepared: Optional[dict] = None,
 ) -> np.ndarray:
     """Unit-norm illuminant estimates (B, 3) for a (B, J, h, h) unit-mass
-    histogram stack and, with the feature path on, its (B, d) features."""
+    histogram stack and, with the feature path on, its (B, d) features.
+
+    With prepared (from prepare_predictor), each row has the bits it gets as
+    a batch of one, whatever the batch; without it, the bits of a row depend
+    on the batch it is in."""
     direction = _forward_batch(params, np.asarray(hists, dtype=np.float64), defs, prepared=prepared)["direction"]
     return direction / row_norms(direction)[:, np.newaxis]
 

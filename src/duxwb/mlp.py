@@ -6,7 +6,10 @@ weighting network (n output neurons, emits bias-interpolation logits). The
 backward pass is analytic; no autograd framework is involved.
 
 Every function is batch-first: inputs are (B, d_in) rows, outputs (B, d_out).
-Training and prediction run the same forward; one sample is a batch of one.
+Training and prediction run the same layers with different products:
+mlp_forward_trace, the training forward, takes each layer's product as one
+gemm over the batch; mlp_forward, the prediction forward, takes it row by
+row (core.row_products), so every row has the bits it gets as a batch of one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import row_norms
+from .core import row_norms, row_products
 from .errors import DegenerateOutputError, DomainError
 
 HIDDEN_WIDTH = 9
@@ -93,30 +96,37 @@ def init_mlp(d_in: int, d_out: int, seed: int) -> MlpParams:
 # ============================================================
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Raw (pre-normalization) outputs (B, d_out) for a (B, d_in) batch."""
-    y, _ = mlp_forward_trace(params, x)
-    return y
+    """Raw (pre-normalization) outputs (B, d_out) for a (B, d_in) batch, the
+    prediction forward: each row has the bits of that row run alone, in a
+    batch of any size."""
+    return _layers(params, x, row_products)[0]
 
 
 def mlp_forward_trace(params: MlpParams, x: np.ndarray):
-    """Forward pass over a (B, d_in) batch, keeping what the backward pass needs.
+    """Forward pass over a (B, d_in) batch, keeping what the backward pass
+    needs: the training forward, whose products are one gemm per layer.
 
     The trace holds each layer's input ("a", four arrays) and each hidden
     layer's LeakyReLU derivative ("slope": 1 where z >= 0, else
     LEAKY_SLOPE). The activation is z times that derivative, which equals
     where(z >= 0, z, LEAKY_SLOPE * z) bit for bit, so the mask is formed once.
     """
+    return _layers(params, x, np.matmul)
+
+
+def _layers(params: MlpParams, x: np.ndarray, product):
+    """The four layers, each product(a, w.T) + b; returns (outputs, trace)."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.d_in:
         raise DomainError(f"input shape {a.shape} is not (batch, {params.d_in})")
     inputs, slopes = [a], []
     for i in range(3):
-        z = a @ params.weights[i].T + params.biases[i]
+        z = product(a, params.weights[i].T) + params.biases[i]
         d = np.where(z >= 0.0, 1.0, LEAKY_SLOPE)
         a = z * d
         slopes.append(d)
         inputs.append(a)
-    y = a @ params.weights[3].T + params.biases[3]
+    y = product(a, params.weights[3].T) + params.biases[3]
     return y, {"a": inputs, "slope": slopes}
 
 

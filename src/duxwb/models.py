@@ -3,15 +3,16 @@ trained under, and move the bundle through the shared checkpoint format.
 
 ModelBundle.predict(chunk) is the one chunk prediction path: the (N, 3) unit
 estimates of a pipeline.PairChunk, whose features are computed once for the
-whole chunk. predict_pair estimates one in-memory pair. Both run the
-estimator on each row as a batch of one, so a pair's estimate has the same
-bits in any chunk and in `duxwb infer`.
+whole chunk, from one estimator call. predict_pair estimates one in-memory
+pair as a batch of one. The prediction forwards take every product row by
+row (core.row_products), so a pair's estimate has the same bits in any chunk
+and in `duxwb infer`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ class ModelBundle:
     e: int
     emlp: Optional[MlpParams] = None
     eccc: Optional[EcccParams] = None
-    _prepared: Optional[dict] = None
+    _prepared: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def uses_def(self) -> bool:
@@ -48,14 +49,13 @@ class ModelBundle:
 
     def predict(self, chunk) -> np.ndarray:
         """(N, 3) unit-norm estimates for a pipeline.PairChunk, whose features
-        are computed once for the whole chunk. The estimator runs each row as
-        a batch of one, so every row has predict_pair's bits: a product over
-        one row and one over many round differently."""
+        are computed once for the whole chunk, from one estimator call over
+        the whole chunk. Every row has predict_pair's bits: the prediction
+        forwards take each product row by row, since a gemm over many rows
+        rounds differently from the product over one."""
         defs = chunk.defs(self.def_cfg) if self.uses_def else None
         hists = chunk.hists(self.eccc.variant, self.eccc.bins) if self.kind == "eccc" else None
-        rows = [self._forward(None if defs is None else defs[i:i + 1], None if hists is None else hists[i:i + 1])
-                for i in range(len(chunk))]
-        return check_illuminants(np.concatenate(rows), chunk.ids)
+        return check_illuminants(self._forward(defs, hists), chunk.ids)
 
     def _forward(self, defs: Optional[np.ndarray], hists: Optional[np.ndarray]) -> np.ndarray:
         if self.kind == "emlp":

@@ -66,12 +66,8 @@ def test_benchmark_direct_calls_keep_their_signatures(tmp_path):
     assert direction.shape == (3, 3)
 
 
-def test_predict_pair_reaches_the_per_pair_extractors(monkeypatch):
-    """The traced benchmark times DEF and histogram extraction through
-    models.compute_def, models.hists_for_pair and eccc.build_histogram; one
-    ECCC predict_pair with the feature path calls each of them."""
-    from duxwb.core import DualExposurePair, RawImage
-
+def _count_calls(monkeypatch, hooks) -> dict:
+    """Wrap each (owner, attr) of hooks to count its calls, keyed by attr."""
     calls = {}
 
     def counted(owner, attr):
@@ -83,14 +79,46 @@ def test_predict_pair_reaches_the_per_pair_extractors(monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    for owner, attr in ((models, "compute_def"), (models, "hists_for_pair"), (eccc, "build_histogram")):
+    for owner, attr in hooks:
         counted(owner, attr)
-    rng = np.random.default_rng(3)
-    pair = DualExposurePair(long=RawImage(rng.uniform(0.1, 1.0, (3, 8, 12))),
-                            short=RawImage(rng.uniform(0.01, 0.1, (3, 8, 12))), exposure_factor=8.0)
+    return calls
+
+
+def _random_pairs(n: int, seed: int) -> list:
+    from duxwb.core import DualExposurePair, RawImage
+
+    rng = np.random.default_rng(seed)
+    return [DualExposurePair(long=RawImage(rng.uniform(0.1, 1.0, (3, 8, 12))),
+                             short=RawImage(rng.uniform(0.01, 0.1, (3, 8, 12))), exposure_factor=8.0)
+            for _ in range(n)]
+
+
+def test_predict_pair_reaches_the_per_pair_extractors(monkeypatch):
+    """The traced benchmark times DEF and histogram extraction through
+    models.compute_def, models.hists_for_pair and eccc.build_histogram; one
+    ECCC predict_pair with the feature path calls each of them."""
+    calls = _count_calls(monkeypatch, ((models, "compute_def"), (models, "hists_for_pair"),
+                                       (eccc, "build_histogram")))
     bundle = models.ModelBundle("eccc", DefConfig(), 8, eccc=eccc.init_eccc(bins=32, n=3, seed=1))
-    bundle.predict_pair(pair)
+    bundle.predict_pair(_random_pairs(1, 3)[0])
     assert calls == {"compute_def": 1, "hists_for_pair": 1, "build_histogram": 2}
+
+
+def test_chunk_predict_calls_the_traced_forward_once_per_chunk(monkeypatch):
+    """The traced benchmark times ECCC prediction as eccc.forward, around
+    eccc._forward_batch, and the predictor's set-up through
+    models.prepare_predictor. ModelBundle.predict on chunks of several pairs
+    makes one forward call per chunk, and a bundle prepares its predictor
+    once."""
+    from duxwb.pipeline import PairChunk
+
+    calls = _count_calls(monkeypatch, ((eccc, "_forward_batch"), (models, "prepare_predictor")))
+    bundle = models.ModelBundle("eccc", DefConfig(), 8, eccc=eccc.init_eccc(bins=32, n=3, seed=1))
+    pairs = _random_pairs(7, 4)
+    for part in (pairs[:4], pairs[4:]):
+        rows = bundle.predict(PairChunk.from_pairs([f"s{i}" for i in range(len(part))], part))
+        assert rows.shape == (len(part), 3)
+    assert calls == {"_forward_batch": 2, "prepare_predictor": 1}
 
 
 def test_chunked_features_reach_the_histogram_kernel(monkeypatch, tmp_path):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from duxwb.checkpoint import load_checkpoint, save_checkpoint
-from duxwb.core import DualExposurePair, Illuminant, RawImage
+from duxwb.core import DualExposurePair, Illuminant, RawImage, row_products
 from duxwb.def_feature import COLOR_REPRS, MAPPINGS, DefConfig
-from duxwb.eccc import init_eccc
+from duxwb.eccc import VARIANTS, init_eccc
 from duxwb.errors import DataError
 from duxwb.mlp import emlp_init, init_mlp
 from duxwb import models, pipeline
@@ -509,3 +509,49 @@ def test_predict_rows_have_predict_pair_bits_in_any_chunk(rng, n):
     for other in bundles[1:]:
         both = ensemble(emlp.predict(chunk), other.predict(chunk))
         assert both.tobytes() == np.stack([ensemble_predict(emlp, other, p).as_array() for p in pairs]).tobytes()
+
+
+_POOL = 24  # pairs the chunked-predict property test draws its chunks from
+
+
+@pytest.fixture(scope="module")
+def predict_pool():
+    """The pool's pairs, the bundles under test, the ensembled bundle pairs,
+    and each pair's estimates predicted alone: per bundle from predict_pair,
+    per ensemble from ensemble_predict."""
+    rng = np.random.default_rng(7)
+    pairs = [render_pair(SceneSpec().small(), 8, seed=s) for s in range(_POOL)]
+    emlp = ModelBundle(kind="emlp", def_cfg=DefConfig(), e=8, emlp=_perturbed(emlp_init(15, seed=3), rng))
+    ecccs = [ModelBundle(kind="eccc", def_cfg=DefConfig(), e=8,
+                         eccc=_perturbed(init_eccc(variant=variant, use_def=use_def, seed=5), rng))
+             for variant, use_def in [(v, True) for v in VARIANTS] + [("both", False)]]
+    bundles = [emlp] + ecccs
+    duos = [(emlp, b) for b in ecccs] + [(ecccs[0], ecccs[-1])]
+    alone = [np.stack([b.predict_pair(p).as_array() for p in pairs]) for b in bundles]
+    alone_duos = [np.stack([ensemble_predict(a, b, p).as_array() for p in pairs]) for a, b in duos]
+    return pairs, bundles, duos, alone, alone_duos
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(picks=st.lists(st.integers(0, _POOL - 1), min_size=1, max_size=24), seed=st.integers(0, 2**16))
+def test_chunk_predict_rows_are_the_pairs_predicted_alone(predict_pool, picks, seed):
+    """For chunks of 1 to 24 pairs, every row of ModelBundle.predict has the
+    bytes of its pair predicted alone: EMLP, ECCC on each histogram variant
+    and without the feature path, and ensembles. row_products, which the
+    prediction forwards take their products with, gives each row the bits
+    of that row's own product, and a batch of one the bits of a @ m."""
+    pairs, bundles, duos, alone, alone_duos = predict_pool
+    chunk = pipeline.PairChunk.from_pairs([f"s{i}" for i in range(len(picks))], [pairs[i] for i in picks])
+    for bundle, want in zip(bundles, alone):
+        label = bundle.kind if bundle.eccc is None else (bundle.eccc.variant, bundle.eccc.use_def)
+        assert bundle.predict(chunk).tobytes() == want[picks].tobytes(), label
+    for (a, b), want in zip(duos, alone_duos):
+        assert ensemble(a.predict(chunk), b.predict(chunk)).tobytes() == want[picks].tobytes()
+
+    rng = np.random.default_rng(seed)
+    for m in (rng.standard_normal((9, 15)).T, rng.standard_normal((20, 256)), rng.standard_normal(64)):
+        a = rng.standard_normal((len(picks), m.shape[0]))
+        rows = row_products(a, m)
+        for i in range(len(a)):
+            assert rows[i].tobytes() == (a[i:i + 1] @ m)[0].tobytes()
+        assert row_products(a[:1], m).tobytes() == (a[:1] @ m).tobytes()

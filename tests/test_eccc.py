@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duxwb.core import DualExposurePair, Illuminant, RawImage, angular_error
 from duxwb.eccc import (
@@ -7,8 +10,10 @@ from duxwb.eccc import (
     _forward_batch,
     _smoothness_form,
     _upsampler,
+    VARIANTS,
     count_eccc_params,
     eccc_forward,
+    hists_for_chunk,
     hists_for_pair,
     init_eccc,
     prepare_predictor,
@@ -190,6 +195,54 @@ def test_histogram_variants(rng):
     assert np.array_equal(h_long, h_short)
     assert h_both.shape == (2, 64, 64)
     assert h_avg.shape == (1, 64, 64)
+
+
+_FRAME_KINDS = ("valid", "zero_pixels", "zero_channel")
+
+
+def _frame(kind: str, rng, k: int) -> np.ndarray:
+    """A (3, k) frame: all pixels valid, some pixels black or with one
+    channel at zero, or one channel zero throughout (no valid pixel)."""
+    frame = rng.uniform(0.01, 1.0, (3, k))
+    if kind == "zero_pixels":
+        frame[:, rng.random(k) < 0.3] = 0.0
+        frame[rng.integers(0, 3, k), np.arange(k)] *= rng.random(k) < 0.7
+    elif kind == "zero_channel":
+        frame[rng.integers(0, 3)] = 0.0
+    return frame
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kinds=st.lists(st.tuples(st.sampled_from(_FRAME_KINDS), st.sampled_from(_FRAME_KINDS)), min_size=1, max_size=6),
+       size=st.sampled_from([(1, 1), (4, 4), (5, 7)]), bins=st.sampled_from([8, 64]), seed=st.integers(0, 2**16))
+def test_hists_for_chunk_gives_each_row_the_bits_of_its_pair_alone(kinds, size, bins, seed):
+    """For every input variant, each row of hists_for_chunk on a stack that
+    mixes valid pairs with pairs holding black pixels, zero channels in some
+    pixels and zeroed channels has the bytes of hists_for_pair on its pair.
+    A stack holding pairs whose histogram is empty raises
+    EmptyHistogramError naming exactly those pairs."""
+    rng = np.random.default_rng(seed)
+    h, w = size
+    longs = np.stack([_frame(kind, rng, h * w) for kind, _ in kinds])
+    shorts = np.stack([_frame(kind, rng, h * w) for _, kind in kinds])
+    names = [f"s{i}" for i in range(len(kinds))]
+    for variant in VARIANTS:
+        alone, empty = {}, []
+        for i, name in enumerate(names):
+            pair = DualExposurePair(long=RawImage(longs[i].reshape(3, h, w)),
+                                    short=RawImage(shorts[i].reshape(3, h, w)), exposure_factor=8.0)
+            try:
+                alone[i] = hists_for_pair(pair, variant, bins, [name])
+            except EmptyHistogramError:
+                empty.append(name)
+        if empty:
+            with pytest.raises(EmptyHistogramError, match=re.escape(": " + ", ".join(empty)) + "$"):
+                hists_for_chunk(longs, shorts, variant, bins, names)
+        keep = sorted(alone)
+        if keep:
+            rows = hists_for_chunk(longs[keep], shorts[keep], variant, bins, [names[i] for i in keep])
+            for row, i in zip(rows, keep):
+                assert row.tobytes() == alone[i].tobytes(), (variant, kinds[i])
 
 
 def test_single_hist_variant_forward(rng):
