@@ -135,9 +135,9 @@ def cmd_extract_def(args: argparse.Namespace) -> int:
     from .pipeline import split_chunks
     from .synth import DatasetManifest
 
-    manifest = DatasetManifest.load(args.data)
+    entries = DatasetManifest.load(args.data).scenes_for(args.split)
     cfg = _def_config(args)
-    gt_of = {entry.scene_id: entry.gt for entry in manifest.scenes_for(args.split)}
+    gt_of = {entry.scene_id: entry.gt for entry in entries}
     n_rows = 0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -146,7 +146,7 @@ def cmd_extract_def(args: argparse.Namespace) -> int:
         if args.with_gt:
             header += ["gt_r", "gt_g", "gt_b"]
         writer.writerow(header)
-        for chunk in split_chunks(args.data, manifest, args.split, args.e):
+        for chunk in split_chunks(args.data, entries, args.e):
             for scene_id, values in zip(chunk.ids, chunk.defs(cfg)):
                 row = [scene_id, args.e] + [repr(float(v)) for v in values]
                 if args.with_gt:
@@ -221,7 +221,7 @@ def _evaluate(args, manifest, predict, label: str, e) -> int:
     was scored."""
     from .evaluation import evaluate_scenes, results_csv_rows
 
-    report, results = evaluate_scenes(predict, manifest, args.data, args.split)
+    report, results = evaluate_scenes(predict, manifest, args.split)
     payload = report.to_dict(model=label, split=args.split, e=e)
     with open(args.out_report, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -236,7 +236,7 @@ def _evaluate(args, manifest, predict, label: str, e) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import baseline_predictor
     from .models import load_model
-    from .pipeline import split_predictor
+    from .pipeline import chunk_predictor
     from .synth import DatasetManifest
 
     manifest = DatasetManifest.load(args.data)
@@ -244,18 +244,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _evaluate(args, manifest, baseline_predictor(args.baseline, args.data), args.baseline, None)
     bundle = load_model(args.ckpt)
     e = args.e or bundle.e
-    return _evaluate(args, manifest, split_predictor(args.data, manifest, args.split, e, bundle.predict), bundle.kind, e)
+    return _evaluate(args, manifest, chunk_predictor(args.data, e, bundle.predict), bundle.kind, e)
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    from .core import DualExposurePair, RawImage
+    from .core import DualExposurePair
     from .models import load_model
-    from .synth import read_tensor
+    from .synth import checked_frame, read_tensor
 
     bundle = load_model(args.ckpt)
     pair = DualExposurePair(
-        long=RawImage(read_tensor(args.long)),
-        short=RawImage(read_tensor(args.short)),
+        long=checked_frame(read_tensor(args.long), args.long),
+        short=checked_frame(read_tensor(args.short), args.short),
         exposure_factor=float(args.e or bundle.e),
     )
     ill = bundle.predict_pair(pair)
@@ -266,7 +266,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     from .errors import DataError
     from .models import load_model
-    from .pipeline import split_predictor
+    from .pipeline import chunk_predictor
     from .synth import DatasetManifest
     from .training import ensemble
 
@@ -282,7 +282,7 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
         # the chunk keeps each feature per setting, so bundles sharing the DEF compute it once
         return ensemble(bundle_a.predict(chunk), bundle_b.predict(chunk))
 
-    return _evaluate(args, manifest, split_predictor(args.data, manifest, args.split, e, predict), "ensemble", e)
+    return _evaluate(args, manifest, chunk_predictor(args.data, e, predict), "ensemble", e)
 
 
 # ============================================================

@@ -81,18 +81,6 @@ class RawImage:
         img.data = data
         return img
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def pixel_count(self) -> int:
-        return self.height * self.width
-
     def as_matrix(self) -> np.ndarray:
         """View the image as a 3 x k matrix of pixel columns."""
         return self.data.reshape(3, -1)

@@ -5,20 +5,20 @@ benchmarks: mean, median, trimean, best-25% mean, worst-25% mean, worst-5%
 mean, and max. Quantiles use linear interpolation; the best/worst subsets take
 the ceiling of the requested fraction.
 
-The harness asks its predictor for one estimate per scene, then normalises,
-checks and scores the whole split as (N, 3) arrays, with the bits each scene
-gets on its own.
+The harness asks its predictor once for the whole split's (N, 3) estimates,
+checks them and scores them as returned against the unit ground truths, with
+the bits each scene gets on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import Illuminant, RawImage, _as_vec3, angular_errors, unit_illuminants
+from .core import Illuminant, RawImage, angular_errors, check_illuminants, unit_illuminants
 from .errors import DataError, DomainError
 from .synth import DatasetManifest, SceneEntry, load_image
 
@@ -133,39 +133,40 @@ class SceneResult:
 
 
 def evaluate_scenes(
-    predict: Callable[[SceneEntry], Union[Illuminant, np.ndarray]],
+    predict: Callable[[List[SceneEntry]], np.ndarray],
     manifest: DatasetManifest,
-    root: str,
     split: str,
 ) -> tuple:
     """Run a predictor over a split; returns (ErrorReport, [SceneResult]).
 
-    predict(entry) is called once per scene, in manifest order, and returns
-    the scene's estimate as an Illuminant or a length-3 array. The estimates
-    and ground truths are then normalised, checked and scored as (N, 3)
-    arrays; each scene gets the bits of Illuminant.normalized and
-    angular_error on its own, and a failed check names its scene.
+    predict(entries) is called once, with the split's scenes in manifest
+    order, and returns their estimates as an (N, 3) array. The estimates are
+    checked and scored as returned, against the normalised ground truths;
+    each scene gets the bits of angular_error on its own, and a failed check
+    names its scene.
     """
     scenes = manifest.scenes_for(split)
     if not scenes:
         raise DataError(f"split {split!r} holds no scenes")
     ids = [entry.scene_id for entry in scenes]
     gts = unit_illuminants([entry.gt for entry in scenes], ids)
-    preds = unit_illuminants(np.stack([_as_vec3(predict(entry)) for entry in scenes]), ids)
-    errors = angular_errors(preds, gts)
+    preds = np.asarray(predict(scenes), dtype=np.float64)
+    if preds.shape != gts.shape:
+        raise DataError(f"predictor gave an array of shape {preds.shape} for {len(scenes)} scenes")
+    errors = angular_errors(check_illuminants(preds, ids), gts)
     results = [SceneResult(scene_id=i, error_deg=err, predicted=p, gt=g)
                for i, err, p, g in zip(ids, errors.tolist(), preds.tolist(), gts.tolist())]
     return compute_report(errors), results
 
 
-def baseline_predictor(name: str, root: str) -> Callable[[SceneEntry], Illuminant]:
-    """Baselines consume only the auto-exposure frame."""
+def baseline_predictor(name: str, root: str) -> Callable[[List[SceneEntry]], np.ndarray]:
+    """Baselines consume only the auto-exposure frame, one scene at a time."""
     if name not in BASELINES:
         raise DomainError(f"unknown baseline {name!r}")
     fn = BASELINES[name]
 
-    def predict(entry: SceneEntry) -> Illuminant:
-        return fn(load_image(root, entry, "auto"))
+    def predict(entries: List[SceneEntry]) -> np.ndarray:
+        return np.stack([fn(load_image(root, entry, "auto")).as_array() for entry in entries])
 
     return predict
 

@@ -11,8 +11,9 @@ the bits its pair gets on its own.
 split_chunks reads a split a chunk at a time: each frame goes from
 synth.read_tensor into its chunk's stack, each stack is checked once, and a
 chunk is dropped once its features are computed, so the working set stays
-small even for large datasets. split_predictor serves a split's chunk
-predictions to evaluation.evaluate_scenes one scene at a time, matched by id.
+small even for large datasets. chunk_predictor gives
+evaluation.evaluate_scenes the (N, 3) rows of a split, predicted a chunk at
+a time.
 
 build_feature_set is the package's one augmentation loop. With augment=True,
 each train pair gains augment_copies Von Kries relit copies; every copy takes
@@ -139,21 +140,18 @@ def _checked_stack(frames: list, root: str, entries: List[SceneEntry], key: str)
         check_frames(stack)
     except DomainError:
         for frame, entry in zip(stack, entries):
-            try:
-                check_frames(frame)
-            except DomainError as exc:
-                raise DataError(f"{synth.frame_path(root, entry, key)} (scene {entry.scene_id}): {exc}") from None
+            synth.checked_frame(frame, synth.frame_path(root, entry, key), entry.scene_id)
     return stack
 
 
-def split_chunks(root: str, manifest: DatasetManifest, split: str, e: int) -> Iterator[PairChunk]:
-    """The split's pairs at exposure factor e, in manifest order, read a chunk
-    at a time: each frame goes from synth.read_tensor into its chunk's
-    float64 stack, and each stack is checked once."""
+def split_chunks(root: str, entries: List[SceneEntry], e: int) -> Iterator[PairChunk]:
+    """The pairs of entries at exposure factor e, in order, read a chunk at a
+    time: each frame goes from synth.read_tensor into its chunk's float64
+    stack, and each stack is checked once."""
     keys = (f"long_{int(e)}", f"short_{int(e)}")
 
     def frames():
-        for entry in manifest.scenes_for(split):
+        for entry in entries:
             long, short = (synth.read_tensor(synth.frame_path(root, entry, key)) for key in keys)
             if long.shape != short.shape:
                 raise DataError(f"scene {entry.scene_id}: long frame is {long.shape[1]}x{long.shape[2]}, "
@@ -161,30 +159,19 @@ def split_chunks(root: str, manifest: DatasetManifest, split: str, e: int) -> It
             yield entry, long, short
 
     for run in _runs(frames(), lambda item: item[1].shape):
-        entries = [entry for entry, _, _ in run]
-        ids = [entry.scene_id for entry in entries]
-        longs = _checked_stack([long for _, long, _ in run], root, entries, keys[0])
-        shorts = _checked_stack([short for _, _, short in run], root, entries, keys[1])
-        yield PairChunk(ids, longs, shorts, float(e), unit_illuminants([entry.gt for entry in entries], ids))
+        run_entries = [entry for entry, _, _ in run]
+        ids = [entry.scene_id for entry in run_entries]
+        longs = _checked_stack([long for _, long, _ in run], root, run_entries, keys[0])
+        shorts = _checked_stack([short for _, _, short in run], root, run_entries, keys[1])
+        yield PairChunk(ids, longs, shorts, float(e), unit_illuminants([entry.gt for entry in run_entries], ids))
 
 
-def split_predictor(root: str, manifest: DatasetManifest, split: str, e: int,
-                    predict_chunk: Callable[[PairChunk], np.ndarray]) -> Callable[[SceneEntry], np.ndarray]:
-    """predict(entry) for evaluation.evaluate_scenes over the split: its pairs
-    are read a chunk at a time, predict_chunk(chunk) gives each chunk's (N, 3)
-    rows, and each call returns the next row. A call for any scene but the
-    next row's raises DataError."""
-    rows = ((name, row) for chunk in split_chunks(root, manifest, split, e)
-            for name, row in zip(chunk.ids, predict_chunk(chunk)))
-
-    def predict(entry: SceneEntry) -> np.ndarray:
-        name, row = next(rows, (None, None))
-        if name != entry.scene_id:
-            held = f"scene {name}" if name else "no scene"
-            raise DataError(f"asked to predict scene {entry.scene_id}, but the next prediction is for {held}")
-        return row
-
-    return predict
+def chunk_predictor(root: str, e: int,
+                    predict_chunk: Callable[[PairChunk], np.ndarray]) -> Callable[[List[SceneEntry]], np.ndarray]:
+    """predict(entries) for evaluation.evaluate_scenes: the entries' pairs at
+    e are read a chunk at a time, and predict_chunk(chunk) gives each chunk's
+    (N, 3) rows."""
+    return lambda entries: np.concatenate([predict_chunk(chunk) for chunk in split_chunks(root, entries, e)])
 
 
 @dataclass
@@ -236,7 +223,7 @@ def build_feature_set(
             if with_hists:
                 hists[rows] = chunk.hists(variant, bins)
 
-    add(split_chunks(root, manifest, split, e))
+    add(split_chunks(root, scenes, e))
 
     identity = 0
     if augment:

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import DualExposurePair, Illuminant, RawImage, interp_matrix
+from .core import DualExposurePair, Illuminant, RawImage, check_frames, interp_matrix
 from .errors import DataError, DomainError
 
 MAGIC = b"DXT1"
@@ -388,8 +388,22 @@ def frame_path(root: str, entry: SceneEntry, key: str) -> str:
     return os.path.join(root, rel)
 
 
+def checked_frame(data: np.ndarray, path: str, scene_id: Optional[str] = None) -> RawImage:
+    """The frame read from path as a float64 RawImage; a non-finite or
+    negative value raises DataError naming the file, and the scene when
+    given."""
+    data = np.asarray(data, dtype=np.float64)
+    try:
+        check_frames(data)
+    except DomainError as exc:
+        where = path if scene_id is None else f"{path} (scene {scene_id})"
+        raise DataError(f"{where}: {exc}") from None
+    return RawImage.of_checked(data)
+
+
 def load_image(root: str, entry: SceneEntry, key: str) -> RawImage:
-    return RawImage(read_tensor(frame_path(root, entry, key)))
+    path = frame_path(root, entry, key)
+    return checked_frame(read_tensor(path), path, entry.scene_id)
 
 
 def load_pair(root: str, entry: SceneEntry, e: int) -> DualExposurePair:

@@ -105,22 +105,26 @@ def mixed_dataset(tmp_path_factory):
 BAD_FRAMES = ("nan", "inf", "negative", "sizes", "truncated", "missing")
 
 
+def break_file(path: str, how: str) -> str:
+    """Break the tensor file at path as `how` names, any of BAD_FRAMES but
+    "sizes"; returns path, which the reader's error must hold."""
+    if how == "truncated":
+        with open(path, "rb+") as fh:
+            fh.truncate(fh.seek(0, 2) - 10)
+    elif how == "missing":
+        os.remove(path)
+    else:
+        data = read_tensor(path)
+        data[1, data.shape[1] // 2, data.shape[2] // 3] = {"nan": np.nan, "inf": np.inf, "negative": -0.25}[how]
+        write_tensor(path, data)
+    return path
+
+
 def break_frame(root: str, entry, how: str, e: int = 8) -> str:
     """Break the stored pair of entry as `how` names; returns the text the
     loader's error must hold (the file's path, or the scene for two sizes)."""
     long_path, short_path = (f"{root}/{entry.files[f'{kind}_{e}']}" for kind in ("long", "short"))
-    if how == "truncated":
-        with open(long_path, "rb+") as fh:
-            fh.truncate(fh.seek(0, 2) - 10)
-        return long_path
-    if how == "missing":
-        os.remove(short_path)
-        return short_path
     if how == "sizes":
         write_tensor(short_path, np.full((3, 4, 4), 0.5))
         return f"scene {entry.scene_id}"
-    path = short_path if how == "nan" else long_path
-    data = read_tensor(path)
-    data[1, data.shape[1] // 2, data.shape[2] // 3] = {"nan": np.nan, "inf": np.inf, "negative": -0.25}[how]
-    write_tensor(path, data)
-    return path
+    return break_file(short_path if how in ("nan", "missing") else long_path, how)

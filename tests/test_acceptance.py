@@ -349,9 +349,9 @@ def synthetic_run(tmp_path_factory):
     from duxwb.evaluation import baseline_predictor
 
     predict_gw = baseline_predictor("gray-world", root)
-    for entry in manifest.scenes_for("val"):
+    for entry, est in zip(manifest.scenes_for("val"), predict_gw(manifest.scenes_for("val"))):
         gt = Illuminant.from_array(np.array(entry.gt))
-        gw_errors.append(angular_error(predict_gw(entry), gt))
+        gw_errors.append(angular_error(est, gt))
 
     emlp_params, _ = train_emlp(train.defs, train.gts, TrainConfig(model="emlp", seed=0))
     eccc_params, _ = train_eccc(train.hists, train.defs, train.gts, TrainConfig(model="eccc", seed=0))

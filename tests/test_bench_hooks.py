@@ -136,3 +136,54 @@ def test_chunked_features_reach_the_histogram_kernel(monkeypatch, tmp_path):
     fs = pipeline.build_feature_set(str(tmp_path / "d"), manifest, "train", 8, with_hists=True, bins=32)
     assert fs.hists.shape == (4, 2, 32, 32)
     assert stacks == [4, 4]
+
+
+def _load_workflow(monkeypatch):
+    """perfbench/workflow.py as a module, loaded as it is; the benchmark's
+    own modules it imports are dropped from sys.modules again."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("perfbench_workflow", PERFBENCH / "workflow.py")
+    workflow = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(workflow)
+    finally:
+        for name in set(sys.modules) - before:
+            if str(getattr(sys.modules[name], "__file__", "") or "").startswith(str(PERFBENCH)):
+                del sys.modules[name]
+    return workflow
+
+
+def test_traced_eval_asks_for_a_split_in_one_predict_call(monkeypatch, tmp_path):
+    """The traced benchmark wraps evaluation.evaluate_scenes and times its
+    predictor as evaluation.predict. eval (EMLP and ECCC), ensemble-eval and
+    a baseline eval each make one call of both, the predictor's inside the
+    harness's, and write the reports and CSVs of an untraced run."""
+    from duxwb import evaluation
+    from duxwb.synth import SceneSpec, generate_dataset
+
+    workflow = _load_workflow(monkeypatch)
+    data = str(tmp_path / "d")
+    generate_dataset(data, 8, e_list=(8,), seed=1, spec=SceneSpec(width=16, height=12), splits=(2, 6, 0))
+    emlp, eccc_ckpt = str(tmp_path / "emlp.ckpt"), str(tmp_path / "eccc.ckpt")
+    models.save_model(emlp, models.ModelBundle("emlp", DefConfig(), 8, emlp=emlp_init(15, seed=1)))
+    models.save_model(eccc_ckpt, models.ModelBundle("eccc", DefConfig(), 8, eccc=eccc.init_eccc(bins=32, n=3, seed=1)))
+    commands = {"emlp": ["eval", "--ckpt", emlp], "eccc": ["eval", "--ckpt", eccc_ckpt],
+                "ensemble": ["ensemble-eval", "--ckpt-a", emlp, "--ckpt-b", eccc_ckpt],
+                "gray-world": ["eval", "--baseline", "gray-world"]}
+    original = evaluation.evaluate_scenes
+    for name, argv in commands.items():
+        written = {}
+        for kind in ("untraced", "traced"):
+            out = str(tmp_path / f"{name}-{kind}")
+            argv_out = argv + ["--data", data, "--split", "val", "--out-report", out + ".json", "--out-csv", out + ".csv"]
+            tracer = workflow.Tracer() if kind == "traced" else None
+            with workflow.traced(tracer):
+                workflow.run_cli(argv_out)
+            written[kind] = [Path(out + ext).read_bytes() for ext in (".json", ".csv")]
+        spans = [(s.name, tracer.spans[s.parent].name if s.parent >= 0 else None) for s in tracer.spans
+                 if s.name.startswith("evaluation.")]
+        assert spans == [("evaluation.evaluate_scenes", "cli.main"),
+                         ("evaluation.predict", "evaluation.evaluate_scenes")], name
+        assert written["traced"] == written["untraced"], name
+    assert evaluation.evaluate_scenes is original

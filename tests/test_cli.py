@@ -11,7 +11,7 @@ import pytest
 
 from duxwb.cli import main
 
-from conftest import BAD_FRAMES, break_frame
+from conftest import BAD_FRAMES, break_file, break_frame
 
 DATA_ARGS = ["--width", "32", "--height", "24", "--e-list", "2,8"]
 
@@ -178,11 +178,12 @@ def _report_bytes(report, results, label, split, e) -> tuple:
 @pytest.mark.parametrize("data,per_chunk", [("dataset", 1), ("dataset", 3), ("dataset", 100),
                                             ("mixed_dataset", 3), ("mixed_dataset", 100)],
                          ids=["1", "3", "100", "mixed-3", "mixed-100"])
-def test_eval_outputs_match_per_pair_predictions_bytewise(request, tmp_path, monkeypatch, data, per_chunk):
+def test_eval_outputs_match_per_pair_predictions_bytewise(request, tmp_path, monkeypatch, capsys, data, per_chunk):
     """eval and ensemble-eval featurise and predict the split in chunks (here
     chunks of one, of 3 pairs of 32x24, or all train pairs of a size in one;
     the mixed dataset alternates 32x24 and 16x16 frames); their reports and
-    CSVs are those of predict_pair and ensemble_predict run pair by pair."""
+    CSVs are those of predict_pair and ensemble_predict run pair by pair, and
+    each CSV row holds the illuminant `duxwb infer` prints for its pair."""
     from duxwb import pipeline
     from duxwb.def_feature import DefConfig
     from duxwb.evaluation import evaluate_scenes
@@ -197,6 +198,7 @@ def test_eval_outputs_match_per_pair_predictions_bytewise(request, tmp_path, mon
     rgb = str(tmp_path / "rgb.ckpt")  # an EMLP on another DEF than the ECCC's
     save_model(rgb, ModelBundle(kind="emlp", def_cfg=DefConfig(color_repr="rgb"), e=8, emlp=emlp_init(15, seed=2)))
     manifest = DatasetManifest.load(dataset)
+    scenes = manifest.scenes_for("train")
     cases = [("emlp", ["eval", "--ckpt", emlp], lambda a, p: a.predict_pair(p), [emlp]),
              ("eccc", ["eval", "--ckpt", eccc], lambda a, p: a.predict_pair(p), [eccc]),
              ("ensemble", ["ensemble-eval", "--ckpt-a", emlp, "--ckpt-b", eccc], ensemble_predict, [emlp, eccc]),
@@ -206,10 +208,27 @@ def test_eval_outputs_match_per_pair_predictions_bytewise(request, tmp_path, mon
         assert run_cli(argv + ["--data", dataset, "--split", "train",
                                "--out-report", out + ".json", "--out-csv", out + ".csv"]) == 0
         bundles = [load_model(c) for c in ckpts]
-        report, results = evaluate_scenes(lambda entry: predict(*bundles, load_pair(dataset, entry, 8)),
-                                          manifest, dataset, "train")
+        rows = np.stack([predict(*bundles, load_pair(dataset, entry, 8)).as_array() for entry in scenes])
+        report, results = evaluate_scenes(lambda entries: rows, manifest, "train")
         with open(out + ".json", "rb") as fj, open(out + ".csv", "rb") as fc:
             assert (fj.read(), fc.read()) == _report_bytes(report, results, label, "train", 8), argv
+        with open(out + ".csv", newline="") as fh:
+            written = [row[2:5] for row in list(csv.reader(fh))[1:]]
+        if label != "ensemble":
+            capsys.readouterr()
+            for entry in scenes:
+                assert run_cli(["infer", "--ckpt", ckpts[0], "--long", f"{dataset}/{entry.files['long_8']}",
+                                "--short", f"{dataset}/{entry.files['short_8']}"]) == 0
+            printed = [json.loads(line)["illuminant"] for line in capsys.readouterr().out.splitlines()]
+            assert [[json.dumps(v) for v in ill] for ill in printed] == written, argv
+        assert [[repr(v) for v in row] for row in rows.tolist()] == written, argv
+
+
+FILE_FAULTS = [how for how in BAD_FRAMES if how != "sizes"]
+
+
+def _error_lines(capsys) -> list:
+    return [line for line in capsys.readouterr().err.splitlines() if not line.startswith('{"resolved_config"')]
 
 
 @pytest.mark.parametrize("how", BAD_FRAMES)
@@ -230,8 +249,46 @@ def test_eval_of_a_broken_pair_exits_1_with_one_message(tmp_path, capsys, monkey
     capsys.readouterr()
     assert run_cli(["eval", "--ckpt", emlp, "--data", root, "--out-report", out + ".json",
                     "--out-csv", out + ".csv"]) == 1
-    errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith('{"resolved_config"')]
+    errors = _error_lines(capsys)
     assert len(errors) == 1 and errors[0].startswith("error: ") and named in errors[0]
+    assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
+
+
+@pytest.mark.parametrize("how", FILE_FAULTS)
+@pytest.mark.parametrize("frame", ["long", "short"])
+def test_infer_of_a_broken_frame_exits_1_naming_its_file(tmp_path, capsys, how, frame):
+    from duxwb.synth import SceneSpec, generate_dataset
+
+    root = str(tmp_path / "d")
+    entry = generate_dataset(root, 1, e_list=(8,), seed=1, spec=SceneSpec(width=32, height=24)).scenes[0]
+    paths = {kind: f"{root}/{entry.files[f'{kind}_8']}" for kind in ("long", "short")}
+    named = break_file(paths[frame], how)
+    emlp, _ = _saved_bundles(tmp_path, 8, 8)
+    capsys.readouterr()
+    assert run_cli(["infer", "--ckpt", emlp, "--long", paths["long"], "--short", paths["short"]]) == 1
+    errors = _error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith(f"error: {named}: "), errors
+
+
+@pytest.mark.parametrize("how", FILE_FAULTS)
+def test_baseline_eval_of_a_broken_auto_frame_exits_1_naming_it(tmp_path, capsys, how):
+    """The third of five auto frames is broken: a bad value is reported with
+    its file and scene, an unreadable file with its path; no report is
+    written."""
+    from duxwb.synth import SceneSpec, generate_dataset
+
+    root = str(tmp_path / "d")
+    manifest = generate_dataset(root, 5, e_list=(8,), seed=1, spec=SceneSpec(width=32, height=24), splits=(0, 5, 0))
+    entry = manifest.scenes[2]
+    named = break_file(f"{root}/{entry.files['auto']}", how)
+    if how not in ("truncated", "missing"):
+        named += f" (scene {entry.scene_id})"
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert run_cli(["eval", "--baseline", "gray-world", "--data", root, "--out-report", out + ".json",
+                    "--out-csv", out + ".csv"]) == 1
+    errors = _error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith(f"error: {named}: "), errors
     assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
 
 

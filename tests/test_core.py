@@ -134,7 +134,7 @@ def test_raw_image_invariants():
     with pytest.raises(DomainError):
         RawImage(np.full((3, 4, 4), np.inf))
     img = RawImage(np.zeros((3, 5, 7)))
-    assert img.height == 5 and img.width == 7 and img.pixel_count == 35
+    assert img.data.shape == (3, 5, 7)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -151,7 +151,7 @@ def test_raw_image_non_finite_reported_before_negative(bad):
 
 def test_raw_image_with_zero_pixels():
     img = RawImage(np.zeros((3, 0, 7), dtype=np.float32))
-    assert img.data.dtype == np.float64 and img.pixel_count == 0
+    assert img.data.dtype == np.float64 and img.data.shape == (3, 0, 7)
 
 
 def test_pair_requires_matching_shapes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duxwb.core import Illuminant, RawImage, angular_error
+from duxwb.core import RawImage, angular_error
 from duxwb.errors import DataError, DomainError
 from duxwb.evaluation import (
     ErrorReport,
@@ -12,7 +12,7 @@ from duxwb.evaluation import (
     results_csv_rows,
     shades_of_gray,
 )
-from duxwb.synth import SceneSpec, generate_dataset
+from duxwb.synth import SceneSpec, generate_dataset, load_image
 
 from conftest import random_image
 
@@ -172,10 +172,10 @@ def test_perfect_predictor_all_zero(tmp_path):
     out = str(tmp_path / "d")
     manifest = generate_dataset(out, 8, e_list=(2,), seed=0, spec=SceneSpec(width=24, height=16))
 
-    def perfect(entry):
-        return Illuminant.from_array(np.array(entry.gt))
+    def perfect(entries):
+        return np.array([entry.gt for entry in entries])
 
-    report, results = evaluate_scenes(perfect, manifest, out, "train")
+    report, results = evaluate_scenes(perfect, manifest, "train")
     assert report.mean == pytest.approx(0.0, abs=1e-6)
     assert report.max == pytest.approx(0.0, abs=1e-6)
     assert len(results) == len(manifest.scenes_for("train"))
@@ -185,8 +185,10 @@ def test_baseline_runs_on_auto_frame(tmp_path):
     out = str(tmp_path / "d")
     manifest = generate_dataset(out, 6, e_list=(2,), seed=1, spec=SceneSpec(width=24, height=16))
     predict = baseline_predictor("gray-world", out)
-    report, results = evaluate_scenes(predict, manifest, out, "train")
+    report, results = evaluate_scenes(predict, manifest, "train")
     assert report.mean >= 0.0
+    for r, entry in zip(results, manifest.scenes_for("train")):
+        assert r.predicted == gray_world(load_image(out, entry, "auto")).as_array().tolist()
     rows = results_csv_rows(results)
     assert rows[0][0] == "scene_id"
     assert len(rows) == len(results) + 1
@@ -202,7 +204,7 @@ def test_empty_split_raises(tmp_path):
     manifest = generate_dataset(out, 4, e_list=(2,), seed=2,
                                 spec=SceneSpec(width=24, height=16), splits=(4, 0, 0))
     with pytest.raises(DataError):
-        evaluate_scenes(lambda e: Illuminant(1, 1, 1), manifest, out, "val")
+        evaluate_scenes(lambda entries: np.ones((len(entries), 3)), manifest, "val")
 
 
 def test_report_invariant_violation_detected():
@@ -212,10 +214,10 @@ def test_report_invariant_violation_detected():
 
 
 def _scene_score(pred, gt):
-    """One scene scored the way Illuminant.normalized and a 1-D angular error
-    formula do it: (error, unit prediction, unit ground truth)."""
+    """One scene scored the way a 1-D angular error formula does it, on the
+    estimate as given and the unit ground truth: (error, estimate, unit
+    ground truth)."""
     p = np.asarray(pred, dtype=np.float64)
-    p = p / np.linalg.norm(p)
     g = np.asarray(gt, dtype=np.float64)
     g = g / np.linalg.norm(g)
     c = float(np.dot(p, g) / (np.linalg.norm(p) * np.linalg.norm(g)))
@@ -223,18 +225,18 @@ def _scene_score(pred, gt):
 
 
 def test_scores_have_the_bits_of_each_scene_alone(tmp_path, rng):
-    """Estimates at any scale, as arrays or Illuminants, scored as one array;
-    each scene's error, prediction and ground truth has the per-scene bits."""
+    """Estimates at any scale, asked for once and scored as one array
+    without renormalisation; each scene's error, estimate and ground truth
+    has the per-scene bits."""
     out = str(tmp_path / "d")
     manifest = generate_dataset(out, 40, e_list=(2,), seed=3, spec=SceneSpec(width=8, height=8), splits=(40, 0, 0))
     scenes = manifest.scenes_for("train")
     preds = rng.uniform(0.0, 1.0, (40, 3)) * rng.choice([1e-4, 1.0, 1e4], (40, 1))
     preds[5] = np.array(scenes[5].gt) * 3.0  # an exact hit
-    by_id = {entry.scene_id: p if i % 2 else Illuminant.from_array(p) for i, (entry, p) in enumerate(zip(scenes, preds))}
     calls = []
-    report, results = evaluate_scenes(lambda entry: calls.append(entry.scene_id) or by_id[entry.scene_id],
-                                      manifest, out, "train")
-    assert calls == [entry.scene_id for entry in scenes]
+    report, results = evaluate_scenes(lambda entries: calls.append([e.scene_id for e in entries]) or preds,
+                                      manifest, "train")
+    assert calls == [[entry.scene_id for entry in scenes]]
     for r, entry, p in zip(results, scenes, preds):
         assert (r.error_deg, r.predicted, r.gt) == _scene_score(p, entry.gt)
     assert report.errors == [r.error_deg for r in results]
@@ -249,5 +251,17 @@ def test_bad_estimate_names_its_scene(tmp_path, bad, message):
     out = str(tmp_path / "d")
     manifest = generate_dataset(out, 6, e_list=(2,), seed=2, spec=SceneSpec(width=8, height=8), splits=(6, 0, 0))
     third = manifest.scenes_for("train")[2].scene_id
+    rows = np.ones((6, 3))
+    rows[2] = bad
     with pytest.raises(DomainError, match=f"^{third}: {message}$"):
-        evaluate_scenes(lambda entry: np.array(bad) if entry.scene_id == third else np.ones(3), manifest, out, "train")
+        evaluate_scenes(lambda entries: rows, manifest, "train")
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (7, 3), (6,), (6, 4), (18,)])
+def test_estimates_of_another_shape_raise(tmp_path, shape):
+    """A predictor must give one row of three per scene; any other array is
+    a DataError, before a scene is scored."""
+    out = str(tmp_path / "d")
+    manifest = generate_dataset(out, 6, e_list=(2,), seed=2, spec=SceneSpec(width=8, height=8), splits=(6, 0, 0))
+    with pytest.raises(DataError, match=rf"^predictor gave an array of shape \({shape[0]},.*\) for 6 scenes$"):
+        evaluate_scenes(lambda entries: np.ones(shape), manifest, "train")

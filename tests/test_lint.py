@@ -36,6 +36,39 @@ def test_unused_import_is_found(tmp_path):
     assert _unused_imports(module) == ["m.py:2 math", "m.py:4 List"]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _unused_parameters(path: Path) -> list:
+    """"file:line name" for each parameter of a function or lambda that its
+    body never reads; self and cls are exempt."""
+    unused = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unused += [(p.lineno, p.col_offset, p.arg) for p in params if p.arg not in read | {"self", "cls"}]
+    return [f"{path.name}:{line} {name}" for line, _, name in sorted(unused)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert _unused_parameters(path) == []
+
+
+def test_unused_parameter_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("class A:\n    def m(self, x, y=1, *args, z, **kw):\n        return x + len(args) + kw['k']\n\n"
+                      "    @classmethod\n    def c(cls, n):\n        n = 2\n        return cls\n\n"
+                      "def outer(a, b):\n    def inner(c):\n        return a\n    return inner, lambda d, e: e\n")
+    assert _unused_parameters(module) == ["m.py:2 y", "m.py:2 z", "m.py:6 n", "m.py:10 b", "m.py:11 c",
+                                          "m.py:13 d"]
+
+
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

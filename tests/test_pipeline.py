@@ -6,7 +6,7 @@ from duxwb.core import DualExposurePair, RawImage
 from duxwb.def_feature import COLOR_REPRS, MAPPINGS, DefConfig, compute_def, def_rows
 from duxwb.eccc import VARIANTS, hists_for_pair
 from duxwb.errors import DataError, EmptyHistogramError
-from duxwb.pipeline import PairChunk, build_feature_set, split_chunks, split_predictor
+from duxwb.pipeline import PairChunk, build_feature_set, chunk_predictor, split_chunks
 from duxwb.synth import SceneSpec, generate_dataset, load_pair, render_pair, write_tensor
 
 from conftest import BAD_FRAMES, break_frame, reference_histogram
@@ -157,7 +157,7 @@ def test_augmented_features_do_not_depend_on_the_chunk_size(dataset, monkeypatch
 def test_a_new_chunk_starts_when_the_frame_size_changes(mixed_dataset, monkeypatch):
     root, manifest = mixed_dataset
     monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 1 << 16)
-    shapes = [chunk.longs.shape for chunk in split_chunks(root, manifest, "train", 8)]
+    shapes = [chunk.longs.shape for chunk in split_chunks(root, manifest.scenes_for("train"), 8)]
     assert shapes == [(2, 3, 24, 32), (3, 3, 16, 16), (3, 3, 24, 32), (2, 3, 16, 16)]
     fs = build_feature_set(root, manifest, "train", 8, with_hists=True, variant="avg")
     defs, hists, gts = _per_pair_features(root, manifest, "train", 8, "avg")
@@ -207,14 +207,14 @@ def test_loader_names_the_broken_file_or_scene_mid_chunk(tmp_path, monkeypatch, 
     monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 100 * 32 * 24)
     named = break_frame(root, manifest.scenes[2], how)
     with pytest.raises(DataError) as info:
-        list(split_chunks(root, manifest, "train", 8))
+        list(split_chunks(root, manifest.scenes_for("train"), 8))
     assert named in str(info.value)
 
 
 def test_loaded_chunks_hold_the_pairs_of_load_pair(dataset, monkeypatch):
     root, manifest = dataset
     monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 4 * 32 * 24)
-    chunks = list(split_chunks(root, manifest, "train", 8))
+    chunks = list(split_chunks(root, manifest.scenes_for("train"), 8))
     pairs = [load_pair(root, entry, 8) for entry in manifest.scenes_for("train")]
     assert [len(c) for c in chunks] == [4, 4, 2]
     assert [i for c in chunks for i in c.ids] == [entry.scene_id for entry in manifest.scenes_for("train")]
@@ -225,23 +225,23 @@ def test_loaded_chunks_hold_the_pairs_of_load_pair(dataset, monkeypatch):
     assert np.concatenate([c.gts for c in chunks]).tobytes() == gts.tobytes()
 
 
-def test_split_predictor_matches_rows_to_scenes_by_id(dataset, monkeypatch):
+def test_chunk_predictor_gives_the_rows_of_its_entries_in_order(dataset, monkeypatch):
+    """The entries are read and predicted in chunks of three; their rows come
+    back as one (N, 3) array in the order of the entries given, for the whole
+    split or any subset of it."""
     root, manifest = dataset
     monkeypatch.setattr(pipeline, "PIXEL_BUDGET", 3 * 32 * 24)
     scenes = manifest.scenes_for("train")
+    sizes = []
 
-    def rows(chunk):  # each row encodes its scene's position
+    def rows(chunk):  # each row encodes its scene's number
+        sizes.append(len(chunk))
         return np.array([[1.0, 1.0, 1.0 + int(i[1:])] for i in chunk.ids])
 
-    predict = split_predictor(root, manifest, "train", 8, rows)
-    for entry in scenes:
-        assert predict(entry)[2] == 1.0 + int(entry.scene_id[1:])
-    with pytest.raises(DataError, match=f"asked to predict scene {scenes[0].scene_id}, but .* no scene"):
-        predict(scenes[0])
-
-    predict = split_predictor(root, manifest, "train", 8, rows)
-    predict(scenes[0])
-    with pytest.raises(DataError, match=f"scene {scenes[2].scene_id}, but the next prediction is for "
-                                        f"scene {scenes[1].scene_id}"):
-        predict(scenes[2])
-
+    predict = chunk_predictor(root, 8, rows)
+    for entries in (scenes, scenes[::-3]):
+        sizes.clear()
+        got = predict(entries)
+        assert got.shape == (len(entries), 3)
+        assert sizes == [min(3, len(entries) - i) for i in range(0, len(entries), 3)]
+        assert got[:, 2].tolist() == [1.0 + int(entry.scene_id[1:]) for entry in entries]
