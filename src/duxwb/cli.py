@@ -249,13 +249,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     from .core import DualExposurePair
+    from .errors import DataError
     from .models import load_model
     from .synth import checked_frame, read_tensor
 
     bundle = load_model(args.ckpt)
+    long, short = read_tensor(args.long), read_tensor(args.short)
+    if long.shape != short.shape:
+        raise DataError(f"long frame {args.long} is {long.shape[1]}x{long.shape[2]}, "
+                        f"short frame {args.short} is {short.shape[1]}x{short.shape[2]}")
     pair = DualExposurePair(
-        long=checked_frame(read_tensor(args.long), args.long),
-        short=checked_frame(read_tensor(args.short), args.short),
+        long=checked_frame(long, args.long),
+        short=checked_frame(short, args.short),
         exposure_factor=float(args.e or bundle.e),
     )
     ill = bundle.predict_pair(pair)

@@ -329,8 +329,9 @@ def eccc_forward(
     return direction / row_norms(direction)[:, np.newaxis]
 
 
-def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
-    """Mean loss over the batch and gradients for every parameter group.
+def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray, out: Optional[dict] = None) -> tuple:
+    """Mean loss over the batch and gradients for every parameter group:
+    (loss, gradients keyed like params.tensors(), parts).
 
     loss per sample = angular error + S_B (bias smoothness) + S_F (filter
     smoothness); the filter term is shared across samples. Both penalties are
@@ -338,7 +339,14 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     quarter-resolution maps (_smoothness_form), so their gradients join the
     quarter-resolution gradients directly. The full-bias variant takes S_B on
     its one full-resolution bias.
+
+    With out (float64 C-contiguous arrays keyed and shaped like
+    params.tensors(), such as AdamState.grads() views), each gradient is
+    written into its array and out is returned as the gradients; without it,
+    fresh arrays are.
     """
+    if out is None:
+        out = {k: np.empty_like(t) for k, t in params.tensors().items()}
     h = params.bins
     r = _upsampler(h)
 
@@ -372,26 +380,24 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
     dlogits = du[:, :, None] + dv[:, None, :]
     dlogits *= p
 
-    grads: dict = {}
     # filters: correlation adjoint plus the shared smoothness penalty; the
     # flipped-dlogits transform is shared across filters
     f_dlogits = fft_flipped(dlogits, fft_size(h, h))
     df_up = grad_kernel_from_products(cache["hists_fft"] * f_dlogits[:, None], h, h)
-    grads["filters"] = r.T @ df_up @ r + LAMBDA_FILTER * grad_f_pen
+    np.add(r.T @ df_up @ r, LAMBDA_FILTER * grad_f_pen, out=out["filters"])
 
     if params.use_def:
         r_map = _upsampler(h, p.dtype)
         db_small = r_map.T @ dlogits @ r_map + (LAMBDA_BIAS * weight)[:, None, None] * grad_b_pen
         db_flat = db_small.reshape(len(db_small), -1)
-        grads["biases"] = (cache["w"].T @ db_flat).reshape(params.biases.shape)
-        dw = db_flat @ params.biases.reshape(params.n_biases, -1).T
         w = cache["w"]
+        np.matmul(w.T, db_flat, out=out["biases"].reshape(params.n_biases, -1))
+        dw = db_flat @ params.biases.reshape(params.n_biases, -1).T
         dlogits_w = w * (dw - (w * dw).sum(axis=1, keepdims=True))
-        mlp_grads = mlp_backward(params.mlp, cache["trace"], dlogits_w)
-        for name, arr in mlp_grads.items():
-            grads[MLP_PREFIX + name] = arr
+        mlp_backward(params.mlp, cache["trace"], dlogits_w,
+                     out={k[len(MLP_PREFIX):]: g for k, g in out.items() if k.startswith(MLP_PREFIX)})
     else:
-        grads["full_bias"] = dlogits.sum(axis=0) + LAMBDA_BIAS * weight.sum() * grad_b_pen
+        np.add(dlogits.sum(axis=0), LAMBDA_BIAS * weight.sum() * grad_b_pen, out=out["full_bias"])
 
     parts = {
         "angular_mean": float(np.nansum(ang * weight)),
@@ -399,4 +405,4 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray) -> tuple:
         "smooth_filter": LAMBDA_FILTER * s_f,
         "n_valid": n_valid,
     }
-    return mean_loss, grads, parts
+    return mean_loss, out, parts

@@ -10,12 +10,17 @@ Training and prediction run the same layers with different products:
 mlp_forward_trace, the training forward, takes each layer's product as one
 gemm over the batch; mlp_forward, the prediction forward, takes it row by
 row (core.row_products), so every row has the bits it gets as a batch of one.
+The training products, forward and backward, go through np.dot: it makes the
+same gemm call as np.matmul, with the same bits, at less cost per call, which
+is what a step on a few hundred parameters is made of. mlp_backward writes
+its gradients into the caller's arrays (AdamState.grads() in training).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -99,49 +104,72 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Raw (pre-normalization) outputs (B, d_out) for a (B, d_in) batch, the
     prediction forward: each row has the bits of that row run alone, in a
     batch of any size."""
-    return _layers(params, x, row_products)[0]
-
-
-def mlp_forward_trace(params: MlpParams, x: np.ndarray):
-    """Forward pass over a (B, d_in) batch, keeping what the backward pass
-    needs: the training forward, whose products are one gemm per layer.
-
-    The trace holds each layer's input ("a", four arrays) and each hidden
-    layer's LeakyReLU derivative ("slope": 1 where z >= 0, else
-    LEAKY_SLOPE). The activation is z times that derivative, which equals
-    where(z >= 0, z, LEAKY_SLOPE * z) bit for bit, so the mask is formed once.
-    """
-    return _layers(params, x, np.matmul)
-
-
-def _layers(params: MlpParams, x: np.ndarray, product):
-    """The four layers, each product(a, w.T) + b; returns (outputs, trace)."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.d_in:
         raise DomainError(f"input shape {a.shape} is not (batch, {params.d_in})")
+    return _layers(params, a, row_products)[0]
+
+
+def mlp_forward_trace(params: MlpParams, x: np.ndarray):
+    """Forward pass over a float64 (B, d_in) batch, keeping what the backward
+    pass needs: the training forward, whose products are one np.dot (gemm)
+    per layer. Its callers fix the batch's width: train_emlp builds the
+    network on its features' width, and eccc._forward_batch checks the
+    features against the network, so the batch is not checked again here.
+
+    The trace is (inputs, slopes): each layer's input (four arrays) and each
+    hidden layer's LeakyReLU derivative (1 where z >= 0, else LEAKY_SLOPE).
+    The activation is z times that derivative, which equals
+    where(z >= 0, z, LEAKY_SLOPE * z) bit for bit, so the mask is formed once.
+    """
+    return _layers(params, x, np.dot)
+
+
+def _layers(params: MlpParams, a: np.ndarray, product):
+    """The four layers, each product(a, w.T) + b; returns (outputs, trace)."""
     inputs, slopes = [a], []
+    ws, bs = params.weights, params.biases
     for i in range(3):
-        z = product(a, params.weights[i].T) + params.biases[i]
+        z = product(a, ws[i].T)
+        z += bs[i]
         d = np.where(z >= 0.0, 1.0, LEAKY_SLOPE)
-        a = z * d
+        z *= d
+        a = z
         slopes.append(d)
         inputs.append(a)
-    y = product(a, params.weights[3].T) + params.biases[3]
-    return y, {"a": inputs, "slope": slopes}
+    y = product(a, ws[3].T)
+    y += bs[3]
+    return y, (inputs, slopes)
 
 
-def mlp_backward(params: MlpParams, trace: dict, dout: np.ndarray) -> dict:
-    """Gradients of a scalar loss given d(loss)/d(raw outputs) (B, d_out), keyed like tensors()."""
-    a, slopes = trace["a"], trace["slope"]
-    grads = {"w4": dout.T @ a[3], "b4": dout.sum(axis=0)}
-    da = dout @ params.weights[3]
+# the gradient keys of each layer, as MlpParams.tensors() names them
+_W_KEYS = ("w1", "w2", "w3", "w4")
+_B_KEYS = ("b1", "b2", "b3", "b4")
+
+
+def mlp_backward(params: MlpParams, trace: tuple, dout: np.ndarray, out: Optional[dict] = None) -> dict:
+    """Gradients of a scalar loss given d(loss)/d(raw outputs) (B, d_out),
+    keyed like tensors(); their products go through np.dot, as the training
+    forward's do.
+
+    With out (float64 C-contiguous arrays keyed and shaped like tensors(),
+    such as AdamState.grads() views), each gradient is written into its
+    array and out is returned; without it, fresh arrays are.
+    """
+    if out is None:
+        out = {k: np.empty_like(t) for k, t in params.tensors().items()}
+    a, slopes = trace
+    ws = params.weights
+    np.dot(dout.T, a[3], out=out["w4"])
+    np.add.reduce(dout, axis=0, out=out["b4"])
+    da = np.dot(dout, ws[3])
     for i in (2, 1, 0):
-        dz = da * slopes[i]
-        grads[f"w{i + 1}"] = dz.T @ a[i]
-        grads[f"b{i + 1}"] = dz.sum(axis=0)
+        da *= slopes[i]  # now dz, the gradient w.r.t. layer i's pre-activation
+        np.dot(da.T, a[i], out=out[_W_KEYS[i]])
+        np.add.reduce(da, axis=0, out=out[_B_KEYS[i]])
         if i:  # no caller needs the gradient w.r.t. the input
-            da = dz @ params.weights[i]
-    return grads
+            da = np.dot(da, ws[i])
+    return out
 
 
 # ============================================================
@@ -175,8 +203,9 @@ def angular_loss_unit(raw: np.ndarray, ghat: np.ndarray):
     # d(deg)/d(raw) = -(180/pi) / sqrt(1 - c^2) * (ghat - c * rhat) / ||raw||
     cg = np.minimum(np.maximum(cos, -COS_CLAMP), COS_CLAMP)
     factor = -_DEG / np.sqrt(1.0 - cg * cg)
-    rhat = raw / safe[:, np.newaxis]
-    draw = factor[:, np.newaxis] * (ghat - cos_c[:, np.newaxis] * rhat) / safe[:, np.newaxis]
+    safe_col = safe[:, np.newaxis]
+    rhat = raw / safe_col
+    draw = factor[:, np.newaxis] * (ghat - cos_c[:, np.newaxis] * rhat) / safe_col
     if not all_valid:
         loss[~valid] = np.nan
         draw[~valid] = 0.0

@@ -3,10 +3,13 @@ initialization, training for both estimators, and prediction ensembling.
 
 Both estimators train through one minibatch loop (_train); train_emlp and
 train_eccc supply only their set-up, their per-epoch rate and batch size, and
-their per-batch step. Adam owns the parameters as one flat vector and the
-model computes on views of it. After each finite epoch the loop copies that
-vector; an epoch whose mean loss is not finite ends the run, and the copy is
-written back in place, so the returned model holds the last good epoch.
+their per-batch step. Adam owns the parameters and their gradients, each as
+one flat vector: the model computes on views of the first, its backward pass
+writes into views of the second, and adam_step updates the moments and the
+parameters in place, so a step makes no per-tensor copies. After each finite
+epoch the loop copies the parameter vector; an epoch whose mean loss is not
+finite ends the run, and the copy is written back in place, so the returned
+model holds the last good epoch.
 
 Training is deterministic given a seed: data order, initialization and every
 update are driven by one seeded generator, and reductions use numpy's
@@ -40,16 +43,19 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam's state, including the parameters it trains.
+    """Adam's state, including the parameters it trains and their gradients.
 
     Adam owns the parameters: adam_init copies the given tensors into one flat
     float64 vector, and tensors() hands out per-tensor views of it for the
-    model to compute with. Both moments are flat vectors over the same
-    layout. Adam and decoupled weight decay are elementwise, so each update
-    is a handful of whole-vector operations whatever the tensor count.
+    model to compute with. The gradients are one flat vector over the same
+    layout, and grads() hands out its views for a backward pass to write
+    into. Both moments are flat vectors over that layout too. Adam and
+    decoupled weight decay are elementwise, so each update is a handful of
+    whole-vector operations, in place, whatever the tensor count.
     """
 
     params: np.ndarray
+    grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
     layout: dict  # tensor name -> (slice, shape), in the params dict's order
@@ -57,9 +63,23 @@ class AdamState:
     weight_decay: float = 0.0
     rejected: int = 0  # steps skipped because a gradient was non-finite
 
+    def __post_init__(self):
+        # scratch for adam_step, so a step allocates nothing
+        self._finite = np.empty(self.params.shape, dtype=bool)
+        self._num = np.empty_like(self.params)
+        self._den = np.empty_like(self.params)
+
     def tensors(self) -> dict:
         """Views of the flat parameter vector, keyed and shaped like adam_init's input."""
-        return {k: self.params[sl].reshape(shape) for k, (sl, shape) in self.layout.items()}
+        return self._views(self.params)
+
+    def grads(self) -> dict:
+        """Views of the flat gradient vector, keyed and shaped like tensors();
+        adam_step reads the gradients from them."""
+        return self._views(self.grad)
+
+    def _views(self, flat: np.ndarray) -> dict:
+        return {k: flat[sl].reshape(shape) for k, (sl, shape) in self.layout.items()}
 
 
 def adam_init(params: dict, weight_decay: float = 0.0) -> AdamState:
@@ -71,26 +91,40 @@ def adam_init(params: dict, weight_decay: float = 0.0) -> AdamState:
     flat = np.empty(n)
     for k, (sl, _) in layout.items():
         flat[sl] = np.ravel(params[k])
-    return AdamState(params=flat, m=np.zeros(n), v=np.zeros(n), layout=layout, weight_decay=weight_decay)
+    return AdamState(params=flat, grad=np.zeros(n), m=np.zeros(n), v=np.zeros(n), layout=layout,
+                     weight_decay=weight_decay)
 
 
-def adam_step(state: AdamState, grads: dict, lr: float) -> bool:
-    """One in-place update of state.params at rate lr; returns False (and counts) on non-finite gradients.
+def adam_step(state: AdamState, lr: float) -> bool:
+    """One in-place update of state.params at rate lr from the gradients in
+    state.grad; returns False (and counts) on non-finite gradients, leaving
+    the parameters, moments and step count as they were.
 
-    Weight decay is decoupled from the moment estimates.
+    Weight decay is decoupled from the moment estimates. Each vector is
+    updated in place in the order of the textbook expressions
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), so the bits are theirs.
     """
-    g = np.concatenate([grads[k] for k in state.layout], axis=None)
-    if not np.isfinite(g).all():
+    g, m, v, num, den = state.grad, state.m, state.v, state._num, state._den
+    if not np.isfinite(g, out=state._finite).all():
         state.rejected += 1
         return False
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
-    state.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=num)
+    v += np.multiply(num, 1.0 - ADAM_BETA2, out=num)
+    np.divide(m, c1, out=num)
+    num *= lr
+    np.divide(v, c2, out=den)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    state.params -= np.divide(num, den, out=num)
     if state.weight_decay > 0.0:
-        state.params -= lr * state.weight_decay * state.params
+        state.params -= np.multiply(state.params, lr * state.weight_decay, out=num)
     return True
 
 
@@ -297,8 +331,9 @@ class TrainResult:
 def _train(state: AdamState, n: int, schedule: list, step: Callable, seed: int) -> TrainResult:
     """Minibatch Adam over n samples, one epoch per (lr, batch size) in schedule.
 
-    Each epoch draws a permutation; step(batch indices) returns (gradients,
-    loss sum, weight, smoothness sum), or None to skip the batch, which is
+    Each epoch draws a permutation; step(batch indices) writes the batch's
+    gradients into state.grad (through state.grads() views) and returns
+    (loss sum, weight, smoothness sum), or None to skip the batch, which is
     also skipped when Adam rejects its gradients. The epoch logs its loss and
     smoothness sums divided by its summed weight. An epoch that has weight and
     a non-finite mean loss ends the run, with state.params restored in place
@@ -314,12 +349,12 @@ def _train(state: AdamState, n: int, schedule: list, step: Callable, seed: int) 
         weight = 0
         for start in range(0, n, bs):
             out = step(order[start:start + bs])
-            if out is None or not adam_step(state, out[0], lr):
+            if out is None or not adam_step(state, lr):
                 skipped += 1
                 continue
-            sum_loss += out[1]
-            weight += out[2]
-            sum_smooth += out[3]
+            sum_loss += out[0]
+            weight += out[1]
+            sum_smooth += out[2]
         mean_loss = sum_loss / weight if weight else float("nan")
         mean_smooth = sum_smooth / weight if weight else float("nan")
         log.append(TrainLogRow(epoch, "train", mean_loss, mean_smooth, lr, bs))
@@ -361,6 +396,7 @@ def train_emlp(
     params = emlp_init(d_in=x.shape[1], seed=cfg.seed)
     state = adam_init(params.tensors(), weight_decay=MODEL_DEFAULTS[cfg.model]["weight_decay"])
     params = MlpParams.from_tensors(state.tensors())
+    grads = state.grads()
 
     def step(idx):
         raw, trace = mlp_forward_trace(params, x[idx])
@@ -368,8 +404,9 @@ def train_emlp(
         n_valid = int(np.count_nonzero(valid))
         if n_valid == 0:
             return None
-        grads = mlp_backward(params, trace, draw / n_valid)
-        return grads, float(loss.sum() if n_valid == len(loss) else np.nansum(loss)), n_valid, 0.0
+        draw /= n_valid
+        mlp_backward(params, trace, draw, out=grads)
+        return float(loss.sum() if n_valid == len(loss) else np.nansum(loss)), n_valid, 0.0
 
     return params, _train(state, len(x), [(cfg.lr, EMLP_BATCH_SIZE)] * cfg.epochs, step, cfg.seed)
 
@@ -408,14 +445,15 @@ def train_eccc(
     )
     state = adam_init(params.tensors(), weight_decay=MODEL_DEFAULTS[cfg.model]["weight_decay"])
     params = EcccParams.from_tensors(state.tensors(), params.bins, params.variant, params.use_def)
+    grads = state.grads()
     # histograms never change during a run, so transform them once; single
     # precision halves the cache and the per-step transform cost
     hists_fft = fft_image(np.asarray(hists, dtype=np.float32), fft_size(cfg.hist_bins, cfg.hist_bins))
 
     def step(idx):
         cache = _forward_batch(params, defs=None if feats is None else feats[idx], hists_fft=hists_fft[idx])
-        loss, grads, parts = _backward_batch(params, cache, g[idx])
-        return grads, loss, 1, parts["smooth_bias_mean"] + parts["smooth_filter"]
+        loss, _, parts = _backward_batch(params, cache, g[idx], out=grads)
+        return loss, 1, parts["smooth_bias_mean"] + parts["smooth_filter"]
 
     schedule = [(cosine_lr(cfg.lr, e, cfg.epochs), _eccc_batch_size(e, cfg.epochs)) for e in range(cfg.epochs)]
     return params, _train(state, n, schedule, step, cfg.seed)

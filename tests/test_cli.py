@@ -461,25 +461,32 @@ def test_infer(dataset, tmp_path, capsys):
     assert np.linalg.norm(ill) == pytest.approx(1.0, abs=1e-6)
 
 
-# Runs each (name, argv) through cli.main in a fresh interpreter and prints the
-# scipy and duxwb modules loaded after each one, cumulatively; pytest's own
-# process has both loaded.
+# Runs each (name, argv) through cli.main in a fresh interpreter and prints its
+# exit code and the scipy and duxwb modules loaded after it, cumulatively;
+# pytest's own process has both loaded.
 MODULE_PROBE = """
 import json, sys
 from duxwb.cli import main
-loaded = {}
+runs = {}
 for name, argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, name
-    loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "duxwb"))
-print(json.dumps(loaded))
+    code = main(argv)
+    runs[name] = {"code": code, "loaded": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "duxwb"))}
+print(json.dumps(runs))
 """
 
 
-def modules_after(commands):
+def probe(commands):
+    """(stderr, {name: {"code", "loaded"}}) of the commands run by MODULE_PROBE."""
     proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(commands)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stderr, json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def modules_after(commands):
+    _, runs = probe(commands)
+    assert all(run["code"] == 0 for run in runs.values()), runs
+    return {name: run["loaded"] for name, run in runs.items()}
 
 
 def scipy_modules_after(commands):
@@ -509,6 +516,24 @@ def test_inference_commands_leave_scipy_unloaded(dataset, tmp_path):
     # loads it, which shows the probe sees duxwb's own modules
     assert "duxwb.models" in loaded["infer"] and "duxwb.pipeline" not in loaded["infer"]
     assert "duxwb.pipeline" in loaded["eval"]
+
+
+def test_infer_of_frames_of_two_sizes_exits_1_naming_both(tmp_path):
+    from duxwb.synth import write_tensor
+
+    long, short = str(tmp_path / "long.dxt"), str(tmp_path / "short.dxt")
+    write_tensor(long, np.full((3, 8, 8), 0.5))
+    write_tensor(short, np.full((3, 4, 4), 0.5))
+    emlp, _ = _saved_bundles(tmp_path, 8, 8)
+    stderr, runs = probe([("infer", ["infer", "--ckpt", emlp, "--long", long, "--short", short])])
+    errors = [line for line in stderr.splitlines() if not line.startswith('{"resolved_config"')]
+    assert runs["infer"]["code"] == 1
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
+    assert all(part in errors[0] for part in (long, short, "8x8", "4x4")), errors
+    # the check runs before anything of the dataset pipeline or scipy loads
+    loaded = runs["infer"]["loaded"]
+    assert "duxwb.models" in loaded
+    assert not any(m == "duxwb.pipeline" or m.startswith("scipy") for m in loaded), loaded
 
 
 def test_eccc_training_loads_scipy(dataset, tmp_path):

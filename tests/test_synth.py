@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from duxwb.core import angular_error
 from duxwb.def_feature import DefConfig, compute_def
@@ -12,6 +13,7 @@ from duxwb.errors import DataError, DomainError
 from duxwb.synth import (
     HEADER_MAX,
     DatasetManifest,
+    SceneEntry,
     SceneSpec,
     generate_dataset,
     load_pair,
@@ -132,6 +134,58 @@ def test_tensor_round_trip(tmp_path, rng):
     with open(path, "rb") as fh:
         head = fh.read(4)
     assert head == b"DXT1"
+
+
+_F32 = np.finfo(np.float32)
+# finite, nonnegative float32 values, with zero, the subnormal range and 1.0 always in the mix
+_PIXELS = st.one_of(st.sampled_from([0.0, 1.0, float(_F32.smallest_subnormal), float(_F32.smallest_normal)]),
+                    st.floats(0.0, float(_F32.smallest_normal), width=32),
+                    st.floats(0.0, float(_F32.max), width=32))
+_FRAMES = st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+    lambda hw: hnp.arrays(np.float32, (3, *hw), elements=_PIXELS))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_FRAMES)
+def test_tensor_write_read_round_trip_is_exact(tmp_path, data):
+    path = str(tmp_path / "img.dxt")
+    write_tensor(path, data)
+    back = read_tensor(path)
+    assert back.dtype == np.float32 and back.shape == data.shape
+    assert back.tobytes() == data.tobytes()
+
+
+_IDS = st.integers(0, 9999).map(lambda i: f"s{i:04d}")
+
+
+@st.composite
+def _manifests(draw):
+    e_list = draw(st.lists(st.integers(2, 64), min_size=1, max_size=4, unique=True))
+    ids = draw(st.lists(_IDS, max_size=6, unique=True))
+    scenes = []
+    for scene_id in ids:
+        files = {"auto": f"{scene_id}/auto.dxt"}
+        for e in e_list:
+            files[f"long_{e}"] = f"{scene_id}/long_{e}.dxt"
+            files[f"short_{e}"] = f"{scene_id}/short_{e}.dxt"
+        scenes.append(SceneEntry(
+            scene_id=scene_id,
+            split=draw(st.sampled_from(["train", "val", "test"])),
+            gt=draw(st.lists(st.floats(1e-6, 1e3), min_size=3, max_size=3)),
+            seed=draw(st.integers(0, 2**63 - 1)),
+            files=files,
+        ))
+    return DatasetManifest(seed=draw(st.integers(0, 2**32 - 1)), width=draw(st.integers(1, 4096)),
+                           height=draw(st.integers(1, 4096)), e_list=e_list, scenes=scenes)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifest=_manifests())
+def test_manifest_save_load_round_trip(tmp_path, manifest):
+    manifest.save(str(tmp_path))
+    loaded = DatasetManifest.load(str(tmp_path))
+    assert loaded == manifest
+    assert loaded.to_json() == manifest.to_json()
 
 
 def test_tensor_header_contents(tmp_path):

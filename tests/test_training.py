@@ -9,7 +9,8 @@ from duxwb.convops import fft_image, fft_size
 from duxwb.core import DualExposurePair, Illuminant, RawImage, angular_errors
 from duxwb.eccc import _backward_batch, _forward_batch, init_eccc
 from duxwb.errors import DomainError
-from duxwb.mlp import COS_CLAMP, LEAKY_SLOPE, emlp_init, mlp_forward
+from duxwb.mlp import (COS_CLAMP, LEAKY_SLOPE, MlpParams, emlp_init, init_mlp, mlp_backward, mlp_forward,
+                       mlp_forward_trace)
 from duxwb.pipeline import build_feature_set
 from duxwb.synth import SceneSpec, generate_dataset
 from duxwb.training import (
@@ -37,10 +38,17 @@ from conftest import random_image
 # Adam
 # ============================================================
 
+def _step(state, grads, lr):
+    """adam_step on the given gradients, written into Adam's gradient views."""
+    for k, g in state.grads().items():
+        g[...] = grads[k]
+    return adam_step(state, lr)
+
+
 def test_adam_zero_gradients_fixed_point():
     state = adam_init({"w": np.array([1.0, -2.0, 3.0])})
     params = state.tensors()
-    ok = adam_step(state, {"w": np.zeros(3)}, 1e-2)
+    ok = _step(state, {"w": np.zeros(3)}, 1e-2)
     assert ok
     assert np.array_equal(params["w"], [1.0, -2.0, 3.0])
 
@@ -48,7 +56,7 @@ def test_adam_zero_gradients_fixed_point():
 def test_adam_weight_decay_shrinks():
     state = adam_init({"w": np.array([1.0])}, weight_decay=0.5)
     params = state.tensors()
-    adam_step(state, {"w": np.zeros(1)}, 0.1)
+    _step(state, {"w": np.zeros(1)}, 0.1)
     assert params["w"][0] == pytest.approx(1.0 - 0.1 * 0.5)
 
 
@@ -56,7 +64,7 @@ def test_adam_first_step_is_signed_lr():
     state = adam_init({"w": np.array([0.0])})
     params = state.tensors()
     g = 0.37
-    adam_step(state, {"w": np.array([g])}, 1e-3)
+    _step(state, {"w": np.array([g])}, 1e-3)
     # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr
     assert params["w"][0] == pytest.approx(-1e-3, rel=1e-6)
 
@@ -65,7 +73,7 @@ def test_adam_quadratic_bowl_convergence():
     state = adam_init({"x": np.array([1.0])})
     params = state.tensors()
     for _ in range(500):
-        adam_step(state, {"x": 2.0 * params["x"]}, 1e-2)
+        _step(state, {"x": 2.0 * params["x"]}, 1e-2)
     assert abs(params["x"][0]) < 1e-3
 
 
@@ -74,7 +82,7 @@ def test_adam_matches_textbook_trajectory():
     params = state.tensors()
     x, m, v = 3.0, 0.0, 0.0
     for t in range(1, 101):
-        adam_step(state, {"x": 2.0 * params["x"]}, 1e-2)
+        _step(state, {"x": 2.0 * params["x"]}, 1e-2)
         g = 2.0 * x
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
@@ -85,7 +93,7 @@ def test_adam_matches_textbook_trajectory():
 def test_adam_rejects_nonfinite_gradient():
     state = adam_init({"w": np.array([1.0])})
     params = state.tensors()
-    ok = adam_step(state, {"w": np.array([np.nan])}, 1e-2)
+    ok = _step(state, {"w": np.array([np.nan])}, 1e-2)
     assert not ok
     assert state.rejected == 1
     assert params["w"][0] == 1.0
@@ -128,7 +136,7 @@ def test_flat_adam_matches_per_tensor_reference_bitwise(weight_decay, lr_varies)
     for t in range(50):
         grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for k, shape in _MIXED_SHAPES.items()}
         lr = 5e-3 * (1 + np.cos(t)) if lr_varies else 1e-2
-        assert adam_step(state, grads, lr=lr)
+        assert _step(state, grads, lr=lr)
         assert _reference_adam_step(ref, ref_params, grads, lr=lr)
     assert state.step == ref["step"] == 50
     for k, (sl, shape) in state.layout.items():
@@ -142,12 +150,12 @@ def test_adam_nan_in_one_tensor_rejects_the_whole_step():
     state = adam_init({k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}, weight_decay=1e-2)
     params = state.tensors()
     grads = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
-    assert adam_step(state, grads, 1e-2)
+    assert _step(state, grads, 1e-2)
     before = {k: p.copy() for k, p in params.items()}
     m, v = state.m.copy(), state.v.copy()
     bad = {k: rng.standard_normal(shape) for k, shape in _MIXED_SHAPES.items()}
     bad["maps"][1, 7, 3] = np.nan
-    assert not adam_step(state, bad, 1e-2)
+    assert not _step(state, bad, 1e-2)
     assert state.rejected == 1 and state.step == 1
     assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
     for k in params:
@@ -543,6 +551,26 @@ def test_train_emlp_matches_per_tensor_reference_bitwise():
     assert result.skipped_steps == 0 and not result.aborted
 
 
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 12, 16, 31, 32, 33, 64, 160, 300])
+@pytest.mark.parametrize("d_in, d_out", [(15, 3), (12, 20)])
+def test_training_products_write_the_reference_bits_into_adams_gradient(batch, d_in, d_out):
+    """The training forward and backward take their products through np.dot,
+    and the backward writes into Adam's gradient views. At every batch size
+    and at both network shapes (EMLP, ECCC's bias-weight MLP) the outputs
+    and the flat gradient equal the @-based reference byte for byte."""
+    rng = np.random.default_rng(batch)
+    state = adam_init(init_mlp(d_in, d_out, seed=batch).tensors())
+    params = MlpParams.from_tensors(state.tensors())
+    x, dout = rng.standard_normal((batch, d_in)), rng.standard_normal((batch, d_out))
+    raw, trace = mlp_forward_trace(params, x)
+    want_raw, a, zs = _reference_forward(params, x)
+    assert raw.tobytes() == want_raw.tobytes()
+    grads = state.grads()
+    assert mlp_backward(params, trace, dout, out=grads) is grads
+    want = _reference_backward(params, a, zs, dout)
+    assert state.grad.tobytes() == np.concatenate([want[k].ravel() for k in state.layout]).tobytes()
+
+
 @pytest.mark.parametrize("use_def", [True, False])
 def test_train_eccc_matches_per_tensor_reference_bitwise(use_def):
     rng = np.random.default_rng(22)
@@ -599,8 +627,8 @@ def test_eccc_abort_restores_the_last_good_epoch(monkeypatch, rng):
     calls, last_good = Counter(), {}
     original = training._backward_batch
 
-    def poisoned(params, cache, g):
-        loss, grads, parts = original(params, cache, g)
+    def poisoned(params, cache, g, out):
+        loss, grads, parts = original(params, cache, g, out=out)
         calls["step"] += 1
         if calls["step"] == first_bad_step:  # no update since the last good epoch ended
             last_good.update({k: t.copy() for k, t in params.tensors().items()})
