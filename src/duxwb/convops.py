@@ -6,7 +6,7 @@ through FFTs: fft_image transforms the histograms once (they are fixed across a
 training run, so the transforms are reused every epoch) and
 corr_same_multi_fft finishes the channel-summed correlation. Its adjoint
 (gradient w.r.t. the kernel) reuses the same padded transforms:
-grad_kernel_from_products(fft_image(img) * fft_flipped(dout)).
+grad_kernel_from_products(fft_image(img), fft_flipped(dout)).
 
 The transforms are circular, so they are padded only as far as the kept
 window needs (fft_size), not to the n + k - 1 of a full linear correlation.
@@ -131,13 +131,22 @@ def fft_flipped(dout: np.ndarray, size: int) -> np.ndarray:
     return fft_image(dout[..., ::-1, ::-1], size)
 
 
-def grad_kernel_from_products(prod: np.ndarray, n: int, ksize: int) -> np.ndarray:
-    """Finish a kernel-gradient: sum frequency products over the leading batch
-    axis, invert what is left, slice. (B, S, Sc) and (S, Sc) give one
-    (K, K) gradient; (B, J, S, Sc) gives (J, K, K) with one inverse."""
+def grad_kernel_from_products(f_img: np.ndarray, f_dout: np.ndarray, n: int, ksize: int) -> np.ndarray:
+    """Finish a kernel-gradient from the transforms of its two factors: sum
+    f_img[b] * f_dout[b] over the leading batch axis of f_dout, invert, slice.
+    An (S, Sc) f_dout has no batch axis. Against a (B, S, Sc) f_dout, f_img
+    (B, S, Sc) gives one (K, K) gradient and (B, J, S, Sc) gives (J, K, K),
+    with one inverse. The batch sum accumulates in place, b = 0, 1, ...: the
+    bits of the (B, J, S, Sc) product summed over axis 0, without that
+    temporary."""
     size = fft_size(n, ksize)
-    if prod.ndim > 2:
-        prod = prod.sum(axis=0)
+    if f_dout.ndim == 2:
+        prod = f_img * f_dout
+    else:
+        prod = f_img[0] * f_dout[0]
+        term = np.empty_like(prod)
+        for b in range(1, len(f_dout)):
+            prod += np.multiply(f_img[b], f_dout[b], out=term)
     return _irfft2_crop(prod, size, n - 1 - (ksize - 1) // 2, ksize)
 
 

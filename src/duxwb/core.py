@@ -266,13 +266,12 @@ def interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     if n_out == 1:
         m[0, 0] = 1.0
         return m
-    scale = (n_in - 1) / (n_out - 1)
-    for j in range(n_out):
-        x = j * scale
-        i0 = min(int(np.floor(x)), n_in - 2)
-        frac = x - i0
-        m[j, i0] = 1.0 - frac
-        m[j, i0 + 1] = frac
+    x = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+    i0 = np.minimum(np.floor(x).astype(np.intp), n_in - 2)
+    frac = x - i0
+    rows = np.arange(n_out)
+    m[rows, i0] = 1.0 - frac
+    m[rows, i0 + 1] = frac
     return m
 
 

@@ -383,7 +383,7 @@ def _backward_batch(params: EcccParams, cache: dict, gts: np.ndarray, out: Optio
     # filters: correlation adjoint plus the shared smoothness penalty; the
     # flipped-dlogits transform is shared across filters
     f_dlogits = fft_flipped(dlogits, fft_size(h, h))
-    df_up = grad_kernel_from_products(cache["hists_fft"] * f_dlogits[:, None], h, h)
+    df_up = grad_kernel_from_products(cache["hists_fft"], f_dlogits, h, h)
     np.add(r.T @ df_up @ r, LAMBDA_FILTER * grad_f_pen, out=out["filters"])
 
     if params.use_def:

@@ -7,6 +7,14 @@ the factor e and 1/e, then add read+shot noise, clip, and quantize. With noise
 and clipping disabled the two frames are exact scalings of each other, so any
 feature signal in realistic renders comes from clipping and noise alone.
 
+Every field is C-ordered (3, h, w): the albedo comes from two 1-D gathers,
+and the frame passes work in place on the exposed signal, which write_tensor
+stores as it is. The auto exposure is the one exception to memory order. An earlier
+generator built a pixel-major field, and the mean that sets t_auto sums in
+memory order, so summing the C-ordered field directly moves t_auto by an ulp
+in about a quarter of scenes. render_scene therefore takes the mean over a
+pixel-major copy, which keeps every dataset byte for byte.
+
 Tensors are stored in a tiny planar float32 format and indexed by a JSON
 manifest with disjoint train/val/test splits.
 """
@@ -115,7 +123,8 @@ def _albedo_field(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     patches = spec.albedo_lo + span * rng.beta(spec.albedo_shape, spec.albedo_shape, size=(3, rows, cols))
     row_idx = np.minimum(np.arange(spec.height) * rows // spec.height, rows - 1)
     col_idx = np.minimum(np.arange(spec.width) * cols // spec.width, cols - 1)
-    return patches[:, row_idx[:, None], col_idx[None, :]]
+    # two 1-D gathers give a C-ordered (3, h, w) field
+    return patches.take(row_idx, axis=1).take(col_idx, axis=2)
 
 
 def _shading_field(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
@@ -123,7 +132,8 @@ def _shading_field(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     dyn_range = math.exp(rng.uniform(log_lo, log_hi))
     coarse = rng.uniform(0.0, 1.0, size=(3, 4))
     up = interp_matrix(3, spec.height) @ coarse @ interp_matrix(4, spec.width).T
-    return np.power(dyn_range, up - 1.0)  # values in [1/range, 1]
+    up -= 1.0
+    return np.power(dyn_range, up, out=up)  # values in [1/range, 1]
 
 
 @dataclass
@@ -139,21 +149,31 @@ def render_scene(spec: SceneSpec, rng: np.random.Generator) -> SceneRender:
     gt = sample_illuminant(spec, rng)
     albedo = _albedo_field(spec, rng)
     shading = _shading_field(spec, rng)
-    irradiance = shading * albedo * gt[:, None, None]
-    t_auto = spec.exposure_target / irradiance.mean()
+    irradiance = np.multiply(shading, albedo, out=albedo)
+    irradiance *= gt[:, None, None]
+    # the mean sums in memory order; a pixel-major copy keeps t_auto's bits (module docstring)
+    t_auto = spec.exposure_target / np.ascontiguousarray(irradiance.transpose(1, 2, 0)).mean()
     return SceneRender(irradiance=irradiance, gt=gt, t_auto=float(t_auto))
 
 
 def render_frame(scene: SceneRender, scale: float, spec: SceneSpec, rng: np.random.Generator) -> RawImage:
-    """Expose, add noise, clip to [0, 1], quantize."""
-    signal = scale * scene.irradiance
+    """Expose, add noise, clip to [0, 1], quantize; each pass in place."""
+    signal = np.multiply(scene.irradiance, scale)
     if spec.sigma_read > 0.0 or spec.sigma_shot > 0.0:
-        var = spec.sigma_read ** 2 + spec.sigma_shot * np.clip(signal, 0.0, None)
-        signal = signal + rng.normal(size=signal.shape) * np.sqrt(var)
-    signal = np.clip(signal, 0.0, 1.0)
+        std = np.clip(signal, 0.0, None)
+        std *= spec.sigma_shot
+        std += spec.sigma_read ** 2
+        np.sqrt(std, out=std)
+        # the draws of rng.normal(size=signal.shape), in the same order
+        noise = rng.standard_normal(out=np.empty_like(signal))
+        noise *= std
+        signal += noise
+    np.clip(signal, 0.0, 1.0, out=signal)
     if spec.quantize:
         levels = 2 ** spec.bit_depth - 1
-        signal = np.round(signal * levels) / levels
+        signal *= levels
+        np.round(signal, out=signal)
+        signal /= levels
     return RawImage(signal)
 
 
@@ -186,7 +206,7 @@ def write_tensor(path: str, data: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header)
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def read_tensor(path: str) -> np.ndarray:

@@ -41,7 +41,7 @@ def corr_same(img, ker):
 def grad_kernel(img, dout, ksize):
     """Kernel gradient of corr_same through the production FFT path."""
     size = fft_size(img.shape[-1], ksize)
-    return grad_kernel_from_products(fft_image(img, size) * fft_flipped(dout, size), img.shape[-1], ksize)
+    return grad_kernel_from_products(fft_image(img, size), fft_flipped(dout, size), img.shape[-1], ksize)
 
 
 @pytest.mark.parametrize("n,k", [(8, 8), (8, 4), (6, 3), (16, 16), (64, 64)])
@@ -237,9 +237,9 @@ def test_grad_kernel_sums_the_batch_axis_only(rng, dtype):
     size = fft_size(n, k)
     f_hists = fft_image(rng.random((5, 3, n, n)).astype(dtype), size)
     f_dout = fft_flipped(rng.standard_normal((5, n, n)).astype(dtype), size)
-    stacked = grad_kernel_from_products(f_hists * f_dout[:, None], n, k)
+    stacked = grad_kernel_from_products(f_hists, f_dout, n, k)
     assert stacked.shape == (3, k, k)
-    separate = np.stack([grad_kernel_from_products(f_hists[:, j] * f_dout, n, k) for j in range(3)])
+    separate = np.stack([grad_kernel_from_products(f_hists[:, j], f_dout, n, k) for j in range(3)])
     assert np.array_equal(stacked, separate)
 
 
@@ -261,9 +261,10 @@ def test_double_precision_transforms_match_scipy_bits(rng, bins, batch):
     ref = sfft.irfft2((f_hists * f_kernels).sum(axis=-3), (size, size))
     assert np.array_equal(corr_same_multi_fft(f_hists, kernels, bins), ref[..., start:start + bins, start:start + bins])
 
-    prod = f_hists[:, 0] * fft_flipped(dout, size)
-    ref = sfft.irfft2(prod.sum(axis=0), (size, size))
-    assert np.array_equal(grad_kernel_from_products(prod, bins, bins), ref[start:start + bins, start:start + bins])
+    f_dout = fft_flipped(dout, size)
+    ref = sfft.irfft2((f_hists[:, 0] * f_dout).sum(axis=0), (size, size))
+    assert np.array_equal(grad_kernel_from_products(f_hists[:, 0], f_dout, bins, bins),
+                          ref[start:start + bins, start:start + bins])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -281,6 +282,23 @@ def test_channel_sum_in_place_matches_the_reduction_bits(rng, dtype, j):
     assert out.dtype == dtype
     assert np.array_equal(out, ref)
     assert np.array_equal(corr_same_multi_fft(f_hists, kernels, n, f_kernels=f_kernels), ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_sum_in_place_matches_the_product_reduction_bits(rng, dtype):
+    """grad_kernel_from_products accumulates its batch sum in place; at every
+    batch size up to 64 that is the bits of the full (B, J, S, Sc) product
+    summed over axis 0."""
+    n = 64
+    size = fft_size(n, n)
+    start = n - 1 - (n - 1) // 2
+    f_hists = fft_image(rng.random((64, 2, n, n)).astype(dtype), size)
+    f_dout = fft_flipped(rng.standard_normal((64, n, n)).astype(dtype), size)
+    for b in range(1, 65):
+        ref = _irfft2_crop((f_hists[:b] * f_dout[:b, None]).sum(axis=0), size, start, n)
+        out = grad_kernel_from_products(f_hists[:b], f_dout[:b], n, n)
+        assert out.dtype == dtype
+        assert np.array_equal(out, ref), b
 
 
 def test_single_precision_stays_single(rng):
